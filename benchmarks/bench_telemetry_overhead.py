@@ -38,8 +38,6 @@ def _small_run() -> None:
         "str",
         period_count=_PERIODS,
         seed=0,
-        jobs=1,
-        cache=None,
     )
 
 

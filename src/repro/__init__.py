@@ -27,7 +27,7 @@ from repro.rings.modes import OscillationMode, classify_trace
 from repro.rings.str_ring import SelfTimedRing
 from repro.trng.elementary import ElementaryTrng
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "CharlieDiagram",

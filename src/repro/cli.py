@@ -164,8 +164,6 @@ def _parallel_overrides(runner, args: argparse.Namespace) -> Dict[str, Any]:
         overrides["jobs"] = args.jobs
     if "cache" in parameters:
         overrides["cache"] = _cli_cache(args)
-    if "backend" in parameters and getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
     return overrides
 
 
@@ -300,14 +298,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
         return 2
     if sharding is not None:
         shard, shard_dir = sharding
-        if args.backend != "event":
-            print(
-                "sharded campaigns run the event backend only "
-                "(the batch backend bypasses the per-segment cache that "
-                "merging relies on)",
-                file=sys.stderr,
-            )
-            return 2
         try:
             run = run_campaign_shard(
                 specs,
@@ -341,15 +331,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=_cli_cache(args),
         progress=progress,
-        backend=args.backend,
         stats=stats,
     )
     if args.json:
         print(report.to_json())
     else:
         print(report.render())
-    if args.backend == "event":
-        _print_grid_stats(stats, args.json)
+    _print_grid_stats(stats, args.json)
     return 0
 
 
@@ -891,13 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
     )
-    run_parser.add_argument(
-        "--backend",
-        choices=("batch", "event"),
-        default=None,
-        help="simulation backend for experiments that support it "
-        "(batch = vectorized kernel, event = per-event reference engine)",
-    )
     _add_shard_flags(run_parser, "the experiment grid")
     _add_telemetry_flags(run_parser)
     run_parser.set_defaults(handler=_command_run)
@@ -933,13 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    campaign_parser.add_argument(
-        "--backend",
-        choices=("batch", "event"),
-        default="event",
-        help="simulation backend for the campaign grid (batch = vectorized "
-        "kernel, event = per-event reference engine; default: event)",
     )
     campaign_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON results"

@@ -17,11 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.characterization import (
-    measure_family_dispersion,
-    measure_period_jitter,
-    sweep_voltage,
-)
+from repro.core.characterization import measure_family_dispersion, sweep_voltage
 from repro.fpga.board import Board, BoardBank
 from repro.parallel.cache import ResultCache, _package_version, fingerprint
 from repro.parallel.executor import GridStats, GridTask, ProgressCallback, run_grid
@@ -39,7 +35,7 @@ _log = get_logger("repro.core.campaign")
 
 #: Periods per jitter-simulation segment in the fanned-out campaign.
 #: Segments are the unit of parallelism *within* one ring spec: a long
-#: event-driven run is replaced by independent seed-spawned runs whose
+#: simulation is replaced by independent seed-spawned runs whose
 #: period populations are concatenated, so a single slow spec (an STR
 #: 96C dominates a TAB2-sized grid ~20:1) no longer bounds the whole
 #: campaign's wall-clock.  Serial runs use the same segmentation, which
@@ -188,52 +184,6 @@ def _campaign_segment_worker(task: GridTask) -> List[float]:
     return [float(period) for period in trace.periods_ps()]
 
 
-def _campaign_segments_batch(
-    specs: Sequence[RingSpec],
-    rings: Sequence[Any],
-    lengths: Sequence[int],
-    spec_seeds: Sequence[Optional[int]],
-) -> List[List[float]]:
-    """All jitter segments in two vectorized kernel calls (one per family).
-
-    Segment boundaries and derived seeds are identical to the grid path,
-    so IRO segments (bit-exact kernel) reproduce the event-backend
-    campaign digits exactly; STR segments are statistically equivalent.
-    """
-    from repro.simulation.batch import (
-        IROBatchSpec,
-        STRBatchSpec,
-        simulate_iro_batch,
-        simulate_str_batch,
-    )
-
-    iro_specs: List[IROBatchSpec] = []
-    str_specs: List[STRBatchSpec] = []
-    slots: List[tuple] = []
-    for spec, ring, spec_seed in zip(specs, rings, spec_seeds):
-        segment_seeds = spawn_seeds(spec_seed, len(lengths))
-        for length, segment_seed in zip(lengths, segment_seeds):
-            edge_count = 2 * (length + CAMPAIGN_WARMUP_PERIODS) + 1
-            if spec.kind == "iro":
-                slots.append(("iro", len(iro_specs)))
-                iro_specs.append(
-                    IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=segment_seed)
-                )
-            else:
-                slots.append(("str", len(str_specs)))
-                str_specs.append(
-                    STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=segment_seed)
-                )
-    iro_traces = simulate_iro_batch(iro_specs).traces if iro_specs else []
-    str_traces = simulate_str_batch(str_specs).traces if str_specs else []
-    segments: List[List[float]] = []
-    for family, index in slots:
-        trace = (iro_traces if family == "iro" else str_traces)[index]
-        trimmed = trace.skip_edges(2 * CAMPAIGN_WARMUP_PERIODS)
-        segments.append([float(period) for period in trimmed.periods_ps()])
-    return segments
-
-
 def _campaign_tasks(
     specs: Sequence[RingSpec],
     rings: Sequence[Any],
@@ -307,10 +257,8 @@ def run_campaign(
     seed: SeedLike = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
     segment_periods: int = DEFAULT_SEGMENT_PERIODS,
     progress: Optional[ProgressCallback] = None,
-    backend: str = "event",
     stats: Optional[GridStats] = None,
 ) -> CampaignReport:
     """Characterize every spec over the bank and assemble the report.
@@ -324,19 +272,12 @@ def run_campaign(
     fanned out over ``jobs`` worker processes, consulting ``cache`` per
     segment.  Any job count produces bit-identical reports because the
     segment list and its seeds depend only on the arguments, never on
-    scheduling.  ``seed_mode="shared"`` (or a ``numpy.random.Generator``
-    seed) selects the legacy serial path: one unsegmented simulation per
-    spec, every spec reusing the root seed.
-
-    ``backend="batch"`` runs the very same segment/seed tree through the
-    vectorized kernels instead of worker processes (``jobs``/``cache``
-    are ignored): IRO rows stay bit-identical to the event path, STR
-    rows are statistically equivalent.
+    scheduling.  Each segment is one :meth:`~repro.rings.base.RingOscillator.simulate`
+    call on the batch kernel; ``seed`` must be an integer root (or
+    ``None``) for the fan-out.
     """
     if not specs:
         raise ValueError("need at least one ring spec")
-    if backend not in ("event", "batch"):
-        raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
     bank = bank if bank is not None else BoardBank.manufacture(board_count=5, seed=0)
     nominal_board = bank[0]
     with span(
@@ -346,39 +287,10 @@ def run_campaign(
             "campaign.start",
             specs=[spec.label for spec in specs],
             jitter_periods=jitter_periods,
-            seed_mode=seed_mode,
         )
-        if seed_mode == "shared" or isinstance(seed, np.random.Generator):
-            report = _run_campaign_legacy(
-                specs, bank, voltages_v, jitter_periods, q_target, seed
-            )
-            _log.info("campaign.complete", rings=len(report.results), path="legacy")
-            return report
-
         rings = [spec.build(nominal_board) for spec in specs]
         spec_seeds = spawn_seeds(seed, len(specs))
         lengths = _segment_lengths(jitter_periods, segment_periods)
-        if backend == "batch":
-            tele.set("segments", len(lengths) * len(specs))
-            segments = _campaign_segments_batch(specs, rings, lengths, spec_seeds)
-            results = []
-            for index, (spec, ring) in enumerate(zip(specs, rings)):
-                sweep = sweep_voltage(nominal_board, spec.build, voltages_v)
-                dispersion = measure_family_dispersion(bank, spec.build)
-                own = segments[index * len(lengths) : (index + 1) * len(lengths)]
-                periods = np.concatenate(
-                    [np.asarray(segment, dtype=float) for segment in own]
-                )
-                results.append(
-                    _assemble_result(spec, ring, sweep, dispersion, periods, q_target)
-                )
-            _log.info("campaign.complete", rings=len(results), path="batch")
-            return CampaignReport(
-                results=results,
-                voltages_v=[float(v) for v in voltages_v],
-                board_count=len(bank),
-                q_target=q_target,
-            )
         tasks = _campaign_tasks(specs, rings, lengths, spec_seeds)
         tele.set("segments", len(tasks))
         segments = run_grid(
@@ -406,58 +318,6 @@ def run_campaign(
             board_count=len(bank),
             q_target=q_target,
         )
-
-
-def _run_campaign_legacy(
-    specs: Sequence[RingSpec],
-    bank: BoardBank,
-    voltages_v: Sequence[float],
-    jitter_periods: int,
-    q_target: float,
-    seed: SeedLike,
-) -> CampaignReport:
-    """The pre-parallel campaign loop, kept bit-compatible for ``seed_mode="shared"``."""
-    nominal_board = bank[0]
-    results: List[RingCampaignResult] = []
-    for spec in specs:
-        sweep = sweep_voltage(nominal_board, spec.build, voltages_v)
-        dispersion = measure_family_dispersion(bank, spec.build)
-        ring = spec.build(nominal_board)
-        jitter = measure_period_jitter(
-            ring,
-            method="population",
-            period_count=jitter_periods,
-            seed=seed,
-            warmup_periods=CAMPAIGN_WARMUP_PERIODS,
-        )
-        periods = ring.simulate(
-            jitter_periods, seed=seed, warmup_periods=CAMPAIGN_WARMUP_PERIODS
-        ).trace.periods_ps()
-        diffusion = accumulation_profile(periods).diffusion_sigma_ps
-        reference = reference_period_for_q(
-            ring.predicted_period_ps(), diffusion, q_target
-        )
-        q_reached = q_target  # by construction of the reference period
-        results.append(
-            RingCampaignResult(
-                label=spec.label,
-                nominal_frequency_mhz=ring.predicted_frequency_mhz(),
-                delta_f=float(sweep.excursion()),
-                linearity_r2=float(sweep.linearity()),
-                sigma_rel=float(dispersion.sigma_rel),
-                board_frequencies_mhz=[float(f) for f in dispersion.frequencies_mhz],
-                period_jitter_ps=float(jitter.sigma_period_ps),
-                diffusion_sigma_ps=float(diffusion),
-                trng_reference_period_ps=float(reference),
-                trng_entropy_bound=float(predicted_shannon_entropy(q_reached)),
-            )
-        )
-    return CampaignReport(
-        results=results,
-        voltages_v=[float(v) for v in voltages_v],
-        board_count=len(bank),
-        q_target=q_target,
-    )
 
 
 def campaign_workload(

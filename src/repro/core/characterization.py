@@ -17,7 +17,7 @@ else implementing :class:`~repro.rings.base.RingOscillator`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,12 @@ from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.executor import GridTask, run_grid
 from repro.parallel.seeds import spawn_seeds
 from repro.rings.base import RingOscillator
+from repro.simulation.batch import (
+    IROBatchSpec,
+    STRBatchSpec,
+    simulate_iro_batch,
+    simulate_str_batch,
+)
 from repro.simulation.noise import SeedLike
 from repro.stats.descriptive import (
     linearity_r_squared,
@@ -40,7 +46,6 @@ from repro.stats.descriptive import (
     normalized_frequencies,
     relative_standard_deviation,
 )
-from repro.stats.normality import NormalityReport
 from repro.telemetry import get_logger, span
 
 _log = get_logger("repro.core.characterization")
@@ -48,24 +53,9 @@ _log = get_logger("repro.core.characterization")
 #: Resolves a ring oscillator on a board.
 RingBuilder = Callable[[Board], RingOscillator]
 
-#: Seed-handling modes of the grid campaigns.  ``"spawn"`` derives one
-#: independent child seed per grid point (the fix for the historical
-#: noise-stream correlation across boards/voltages); ``"shared"`` keeps
-#: the legacy behaviour of passing the root seed to every point.
-SEED_MODES = ("spawn", "shared")
-
-
-def _point_seeds(seed: SeedLike, count: int, seed_mode: str) -> List[Optional[int]]:
-    """Per-grid-point seeds under the chosen mode (see :data:`SEED_MODES`)."""
-    if seed_mode not in SEED_MODES:
-        raise ValueError(f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}")
-    if seed_mode == "spawn":
-        return spawn_seeds(seed, count)
-    return [seed] * count  # type: ignore[list-item]
-
 
 def _measure_frequency_worker(task: GridTask) -> float:
-    """Grid worker: mean event-driven frequency of one resolved ring."""
+    """Grid worker: mean simulated frequency of one resolved ring."""
     payload = task.payload
     return float(
         payload["ring"].measure_frequency_mhz(
@@ -118,17 +108,14 @@ def sweep_voltage(
     seed: SeedLike = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
 ) -> VoltageSweepResult:
     """Sweep the core supply and record the ring frequency at each point.
 
     ``measure=False`` reads the analytical frequency (exact, instant);
-    ``measure=True`` runs the event-driven simulation at each point, as a
-    real campaign would.  Measured sweeps fan out over ``jobs`` worker
+    ``measure=True`` simulates the ring at each point, as a real
+    campaign would.  Measured sweeps fan out over ``jobs`` worker
     processes and consult the result ``cache``; each voltage point gets
-    its own derived seed unless ``seed_mode="shared"`` requests the
-    legacy single-seed behaviour.  Passing a ``numpy.random.Generator``
-    as ``seed`` implies the legacy shared-stream serial path.
+    its own seed derived from the integer root ``seed``.
     """
     if len(voltages_v) < 2:
         raise ValueError("a sweep needs at least two voltage points")
@@ -140,14 +127,8 @@ def sweep_voltage(
         name = rings[-1].name
         if not measure:
             frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        elif isinstance(seed, np.random.Generator):
-            # Legacy coupled-stream path: one shared generator, strictly serial.
-            frequencies = [
-                ring.measure_frequency_mhz(period_count=period_count, seed=seed)
-                for ring in rings
-            ]
         else:
-            seeds = _point_seeds(seed, len(rings), seed_mode)
+            seeds = spawn_seeds(seed, len(rings))
             tasks = [
                 GridTask(
                     kind="sweep_point",
@@ -199,14 +180,11 @@ def measure_family_dispersion(
     seed: SeedLike = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
 ) -> FamilyDispersionResult:
     """Send the same "bitstream" to every board and compare frequencies.
 
     Measured runs parallelize across boards (``jobs``) with per-board
-    derived seeds — the historical shared seed made every board see the
-    same noise stream, understating the dispersion of measured
-    frequencies; ``seed_mode="shared"`` restores that behaviour.
+    derived seeds, so no two boards see the same noise stream.
     """
     with span("family_dispersion", boards=len(bank), measured=bool(measure)):
         rings = [ring_builder(board) for board in bank]
@@ -214,13 +192,8 @@ def measure_family_dispersion(
         ring_name = rings[-1].name
         if not measure:
             frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        elif isinstance(seed, np.random.Generator):
-            frequencies = [
-                ring.measure_frequency_mhz(period_count=period_count, seed=seed)
-                for ring in rings
-            ]
         else:
-            seeds = _point_seeds(seed, len(rings), seed_mode)
+            seeds = spawn_seeds(seed, len(rings))
             tasks = [
                 GridTask(
                     kind="dispersion_point",
@@ -296,7 +269,6 @@ def measure_period_jitter(
     seed: SeedLike = 0,
     divider: Optional[RippleDivider] = None,
     warmup_periods: int = 64,
-    backend: str = "event",
 ) -> JitterMeasurementResult:
     """Measure a ring's period jitter.
 
@@ -306,10 +278,6 @@ def measure_period_jitter(
       instrument error; ground truth);
     * ``"direct"`` — the naive scope reading (biased for ps jitter);
     * ``"divider"`` — the Fig. 10 on-chip divider method (the paper's).
-
-    ``backend`` selects the simulation engine (see
-    :meth:`~repro.rings.base.RingOscillator.simulate`); the instrument
-    chain on top of the trace is identical either way.
     """
     if method not in ("population", "direct", "divider"):
         raise ValueError(f"unknown method {method!r}")
@@ -317,54 +285,15 @@ def measure_period_jitter(
         # Process-varied rings settle slowly (weak restoring slopes near
         # the Charlie bottom); a generous warm-up keeps the start-up
         # transient out of the jitter statistics.
-        result = ring.simulate(
-            period_count, seed=seed, warmup_periods=warmup_periods, backend=backend
-        )
+        result = ring.simulate(period_count, seed=seed, warmup_periods=warmup_periods)
         return _jitter_from_trace(ring, result.trace, method, seed, divider)
 
 
-def _jitter_result_to_payload(result: JitterMeasurementResult) -> Dict[str, Any]:
-    """JSON-able form of a jitter measurement (for grid workers/cache)."""
-    payload = dataclasses.asdict(result)
-    return payload
-
-
-def _jitter_result_from_payload(payload: Dict[str, Any]) -> JitterMeasurementResult:
-    """Rebuild a jitter measurement from :func:`_jitter_result_to_payload`."""
-    reading = payload.get("divider_reading")
-    divider_reading = None
-    if reading is not None:
-        divider_reading = DividerJitterReading(
-            **{**reading, "normality": NormalityReport(**reading["normality"])}
-        )
-    return JitterMeasurementResult(
-        ring_name=payload["ring_name"],
-        stage_count=payload["stage_count"],
-        sigma_period_ps=payload["sigma_period_ps"],
-        mean_period_ps=payload["mean_period_ps"],
-        method=payload["method"],
-        divider_reading=divider_reading,
-    )
-
-
-def _jitter_point_worker(task: GridTask) -> Dict[str, Any]:
-    """Grid worker: full jitter measurement of one resolved ring."""
-    payload = task.payload
-    result = measure_period_jitter(
-        payload["ring"],
-        method=payload["method"],
-        period_count=payload["period_count"],
-        seed=task.seed,
-        warmup_periods=payload["warmup_periods"],
-    )
-    return _jitter_result_to_payload(result)
-
-
-#: Replica fan-out of the batched STR jitter driver: one long run is
-#: split into this many independently seeded shorter runs so the batch
-#: kernel gets width to vectorize over.  Statistically equivalent for
-#: the population method (independent periods either way); capped so
-#: per-replica warm-up stays a minority of the simulated periods.
+#: Replica fan-out of the STR jitter campaign: one long run is split into
+#: this many independently seeded shorter runs so the batch kernel gets
+#: width to vectorize over.  Statistically equivalent for the population
+#: method (independent periods either way); capped so per-replica warm-up
+#: stays a minority of the simulated periods.
 STR_BATCH_REPLICAS = 8
 
 #: Warm-up discarded by every jitter campaign point (see
@@ -372,73 +301,85 @@ STR_BATCH_REPLICAS = 8
 _JITTER_WARMUP_PERIODS = 64
 
 
-def _jitter_versus_length_batch(
-    rings: Sequence[RingOscillator],
+def jitter_versus_length(
+    board: Board,
+    lengths: Sequence[int],
     ring_family: str,
+    method: str = "population",
+    period_count: int = 4096,
+    seed: SeedLike = 0,
+) -> List[JitterMeasurementResult]:
+    """Period jitter as a function of ring length (Figs. 11 and 12).
+
+    Every length runs in one vectorized kernel call, each with its own
+    seed derived from the integer root ``seed``.  IRO rows equal a
+    per-length :func:`measure_period_jitter` with that seed, bit for
+    bit.  STR campaigns with the ``population`` method split each length
+    into :data:`STR_BATCH_REPLICAS` seed-derived replicas and pool the
+    period populations — statistically equivalent, and what gives the
+    wave kernel its batch width.  Other STR methods need one contiguous
+    trace and run a single replica per length.
+    """
+    from repro.rings.iro import InverterRingOscillator
+    from repro.rings.str_ring import SelfTimedRing
+
+    if ring_family not in ("iro", "str"):
+        raise ValueError(f"ring_family must be 'iro' or 'str', got {ring_family!r}")
+    with span("jitter_versus_length", family=ring_family, lengths=len(lengths)):
+        _log.info(
+            "jitter_versus_length.start",
+            family=ring_family,
+            lengths=[int(length) for length in lengths],
+            period_count=period_count,
+        )
+        seeds = spawn_seeds(seed, len(lengths))
+        warmup = _JITTER_WARMUP_PERIODS
+        rings: List[RingOscillator]
+        if ring_family == "iro":
+            rings = [InverterRingOscillator.on_board(board, length) for length in lengths]
+            specs = [
+                IROBatchSpec.from_ring(
+                    ring, edge_count=2 * (period_count + warmup) + 1, seed=point_seed
+                )
+                for ring, point_seed in zip(rings, seeds)
+            ]
+            traces = simulate_iro_batch(specs).traces
+            results = [
+                _jitter_from_trace(ring, trace.skip_edges(2 * warmup), method, point_seed)
+                for ring, trace, point_seed in zip(rings, traces, seeds)
+            ]
+        else:
+            rings = [SelfTimedRing.on_board(board, length) for length in lengths]
+            results = _str_jitter_rows(rings, method, period_count, seeds)
+        _log.info("jitter_versus_length.complete", family=ring_family, points=len(results))
+        return results
+
+
+def _str_jitter_rows(
+    rings: Sequence[RingOscillator],
     method: str,
     period_count: int,
     seeds: Sequence[Optional[int]],
-    divider: Optional[RippleDivider] = None,
 ) -> List[JitterMeasurementResult]:
-    """Batched jitter-vs-length: one vectorized kernel call for all lengths.
-
-    IRO campaigns are bit-identical to the event path (single stream per
-    length, same derived seed).  STR campaigns with the ``population``
-    method split each length into :data:`STR_BATCH_REPLICAS` seed-derived
-    replicas and pool the period populations — statistically equivalent,
-    and what gives the wave kernel its batch width.  Other STR methods
-    need one contiguous trace and run a single replica per length.
-    """
-    from repro.simulation.batch import (
-        IROBatchSpec,
-        STRBatchSpec,
-        simulate_iro_batch,
-        simulate_str_batch,
-    )
-
+    """STR rows of :func:`jitter_versus_length` (replicated, one kernel call)."""
     warmup = _JITTER_WARMUP_PERIODS
-    if ring_family == "iro":
-        specs = [
-            IROBatchSpec.from_ring(
-                ring, edge_count=2 * (period_count + warmup) + 1, seed=point_seed
-            )
-            for ring, point_seed in zip(rings, seeds)
-        ]
-        result = simulate_iro_batch(specs)
-        return [
-            _jitter_from_trace(
-                ring, trace.skip_edges(2 * warmup), method, point_seed, divider
-            )
-            for ring, trace, point_seed in zip(rings, result.traces, seeds)
-        ]
-
     replicas = 1
     if method == "population":
         replicas = max(1, min(STR_BATCH_REPLICAS, period_count // (2 * warmup)))
     per_replica = -(-period_count // replicas)  # ceil division
-    specs = []
-    for ring, point_seed in zip(rings, seeds):
-        for child in spawn_seeds(point_seed, replicas):
-            specs.append(
-                STRBatchSpec.from_ring(
-                    ring,
-                    edge_count=2 * (per_replica + warmup) + 1,
-                    seed=child,
-                )
-            )
-    result = simulate_str_batch(specs)
+    specs = [
+        STRBatchSpec.from_ring(ring, edge_count=2 * (per_replica + warmup) + 1, seed=child)
+        for ring, point_seed in zip(rings, seeds)
+        for child in spawn_seeds(point_seed, replicas)
+    ]
+    traces = [trace.skip_edges(2 * warmup) for trace in simulate_str_batch(specs).traces]
     measurements = []
     for index, (ring, point_seed) in enumerate(zip(rings, seeds)):
-        traces = [
-            trace.skip_edges(2 * warmup)
-            for trace in result.traces[index * replicas : (index + 1) * replicas]
-        ]
+        own = traces[index * replicas : (index + 1) * replicas]
         if replicas == 1:
-            measurements.append(
-                _jitter_from_trace(ring, traces[0], method, point_seed, divider)
-            )
+            measurements.append(_jitter_from_trace(ring, own[0], method, point_seed))
             continue
-        pooled = np.concatenate([trace.periods_ps() for trace in traces])
+        pooled = np.concatenate([trace.periods_ps() for trace in own])
         measurements.append(
             JitterMeasurementResult(
                 ring_name=ring.name,
@@ -449,90 +390,3 @@ def _jitter_versus_length_batch(
             )
         )
     return measurements
-
-
-def jitter_versus_length(
-    board: Board,
-    lengths: Sequence[int],
-    ring_family: str,
-    method: str = "population",
-    period_count: int = 4096,
-    seed: SeedLike = 0,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
-    backend: str = "event",
-) -> List[JitterMeasurementResult]:
-    """Period jitter as a function of ring length (Figs. 11 and 12).
-
-    ``backend="event"`` fans one grid task per ring length out over
-    ``jobs`` processes; lengths get independent derived seeds
-    (``seed_mode="shared"`` keeps the legacy behaviour of reusing the
-    root seed at every length).  ``backend="batch"`` advances every
-    length in one vectorized kernel call instead (``jobs``/``cache`` are
-    ignored — the kernel outruns the process pool by a wide margin).
-    """
-    from repro.rings.iro import InverterRingOscillator
-    from repro.rings.str_ring import SelfTimedRing
-
-    if ring_family not in ("iro", "str"):
-        raise ValueError(f"ring_family must be 'iro' or 'str', got {ring_family!r}")
-    if backend not in ("event", "batch"):
-        raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-    with span(
-        "jitter_versus_length", family=ring_family, lengths=len(lengths), backend=backend
-    ):
-        _log.info(
-            "jitter_versus_length.start",
-            family=ring_family,
-            lengths=[int(length) for length in lengths],
-            period_count=period_count,
-        )
-        rings: List[RingOscillator] = []
-        for length in lengths:
-            if ring_family == "iro":
-                rings.append(InverterRingOscillator.on_board(board, length))
-            else:
-                rings.append(SelfTimedRing.on_board(board, length))
-        if isinstance(seed, np.random.Generator):
-            # Legacy coupled-stream path: one shared generator, serial, event-only.
-            return [
-                measure_period_jitter(ring, method=method, period_count=period_count, seed=seed)
-                for ring in rings
-            ]
-        seeds = _point_seeds(seed, len(rings), seed_mode)
-        if backend == "batch":
-            results = _jitter_versus_length_batch(
-                rings, ring_family, method, period_count, seeds
-            )
-            _log.info(
-                "jitter_versus_length.complete",
-                family=ring_family,
-                points=len(results),
-                backend=backend,
-            )
-            return results
-        tasks = [
-            GridTask(
-                kind="jitter_point",
-                spec={
-                    "ring": fingerprint(ring),
-                    "length": int(length),
-                    "family": ring_family,
-                    "method": method,
-                    "period_count": period_count,
-                    "warmup_periods": 64,
-                },
-                seed=point_seed,
-                payload={
-                    "ring": ring,
-                    "method": method,
-                    "period_count": period_count,
-                    "warmup_periods": 64,
-                },
-            )
-            for ring, length, point_seed in zip(rings, lengths, seeds)
-        ]
-        payloads = run_grid(tasks, _jitter_point_worker, jobs=jobs, cache=cache)
-        _log.info("jitter_versus_length.complete", family=ring_family, points=len(payloads))
-        return [_jitter_result_from_payload(payload) for payload in payloads]

@@ -18,7 +18,7 @@ The experiment:
 3. provisions an elementary and a multi-phase sampler for the same
    quality factor and compares their throughput;
 4. generates bits through the fast model (battery-checked) and
-   cross-validates a short run of the exact event-driven sampler.
+   cross-validates a short run of the exact sampler.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def run(
             f"faster than the elementary one ({1e12 / multiphase_ref / 1e6:.2f} "
             "Mbit/s vs ~0.1 kbit/s) — the authors' follow-up 'very high "
             "speed TRNG' direction.  The exact-path cross-check uses few "
-            "bits (event-driven cost grows with T_ref), hence the loose "
+            "bits (simulation cost grows with T_ref), hence the loose "
             "bias bound.  The placed ring's inter-LAB hops distort the "
             "phase comb — the model's version of why the authors place "
             "ring LUTs manually in one LAB."

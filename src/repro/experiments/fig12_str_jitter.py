@@ -27,17 +27,11 @@ def run(
     lengths: Sequence[int] = FIG12_LENGTHS,
     period_count: int = 2000,
     seed: int = 17,
-    jobs: Optional[int] = 1,
-    cache=None,
-    backend: str = "batch",
 ) -> ExperimentResult:
     """Reproduce the Fig. 12 flat jitter-vs-length curve.
 
-    Defaults to the vectorized batch backend, which splits every length
-    into seed-derived replicas and advances them all in one wave-kernel
-    call (statistically equivalent to the event path);
-    ``backend="event"`` fans one grid task per ring length out over
-    ``jobs`` processes (with ``cache`` reuse) instead.
+    Every length is split into seed-derived replicas that all advance in
+    one wave-kernel call (see :func:`jitter_versus_length`).
     """
     board = board if board is not None else Board()
     results = jitter_versus_length(
@@ -47,9 +41,6 @@ def run(
         method="population",
         period_count=period_count,
         seed=seed,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
     )
     rows: List[Tuple] = []
     jitters = []

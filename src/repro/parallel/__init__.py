@@ -3,7 +3,7 @@
 Every measurement campaign in this library — voltage sweeps (Fig. 8),
 board-bank dispersion (Table II), jitter-vs-length curves (Figs. 11/12),
 the EXT10 fault x severity matrix — is an embarrassingly parallel grid
-of independent event-driven simulations.  This package supplies the
+of independent ring simulations.  This package supplies the
 pieces that let those grids scale with cores — and across hosts —
 without giving up reproducibility:
 

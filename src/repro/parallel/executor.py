@@ -107,8 +107,15 @@ class GridStats:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a job-count request; ``None``/``0`` means all cores."""
+    """Normalize a job-count request; ``None``/``0`` means all usable cores.
+
+    Usable means the process's CPU affinity set where the OS reports
+    one (a container pinned to 2 of 64 cores gets 2), else
+    ``os.cpu_count()``.
+    """
     if jobs is None or jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     if jobs < 0:
         raise ValueError(f"jobs must be non-negative, got {jobs}")

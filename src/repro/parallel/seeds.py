@@ -31,8 +31,7 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[Optional[int]]:
     ``None`` roots propagate as ``None`` children (fresh OS entropy per
     point — irreproducible by request).  A ``numpy.random.Generator``
     cannot be fanned out: its stream is stateful, so sharing it across a
-    grid is order-dependent by construction; callers keep those runs on
-    the serial legacy path instead.
+    grid is order-dependent by construction, so it raises ``TypeError``.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -2,9 +2,11 @@
 
 Both oscillators expose the same two evaluation paths:
 
-* ``simulate(...)`` — exact event-driven simulation on the
-  :mod:`repro.simulation` engine, producing an
-  :class:`~repro.simulation.waveform.EdgeTrace` of the output stage;
+* ``simulate(...)`` — exact simulation on the vectorized kernel of
+  :mod:`repro.simulation.batch`, producing an
+  :class:`~repro.simulation.waveform.EdgeTrace` of the output stage
+  (``simulate_reference(...)`` runs the per-event engine, the kernel's
+  test oracle);
 * ``sample_periods(...)`` — a fast vectorized sampler drawing periods
   from the validated analytical model, for statistics-hungry experiments.
 

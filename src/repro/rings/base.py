@@ -11,8 +11,13 @@ faithful:
 2. ``sample_periods(...)`` — vectorized draws from the analytical jitter
    model (Eqs. 4/5), for statistics-hungry consumers such as the TRNG
    layer;
-3. ``simulate(...)`` — exact event-driven simulation, the ground truth
-   the analytical layers are validated against.
+3. ``simulate(...)`` — exact simulation through the vectorized kernel
+   of :mod:`repro.simulation.batch`, the ground truth the analytical
+   layers are validated against.
+
+``simulate_reference(...)`` runs the same model on the per-event engine
+of :mod:`repro.simulation.engine`.  It is the oracle the kernel is
+tested against, not a production path.
 """
 
 from __future__ import annotations
@@ -28,9 +33,21 @@ from repro.simulation.waveform import EdgeTrace
 from repro.units import period_ps_to_mhz
 
 
+def edge_budget(period_count: int, warmup_periods: int) -> int:
+    """Edges to record for ``period_count`` periods after the warm-up.
+
+    Two edges per period, plus one so the last period is complete.
+    """
+    if period_count < 1:
+        raise ValueError(f"period_count must be positive, got {period_count}")
+    if warmup_periods < 0:
+        raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
+    return 2 * (period_count + warmup_periods) + 1
+
+
 @dataclasses.dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of an event-driven ring simulation.
+    """Outcome of a ring simulation.
 
     ``trace`` has the warm-up prefix already removed; ``warmup_trace``
     retains it for transient studies (mode-locking experiments look at
@@ -40,6 +57,17 @@ class SimulationResult:
     trace: EdgeTrace
     warmup_trace: EdgeTrace
     events_processed: int
+
+    @classmethod
+    def from_full_trace(
+        cls, full_trace: EdgeTrace, warmup_periods: int, events_processed: int
+    ) -> "SimulationResult":
+        """Split a warm-up-inclusive trace into the result's two views."""
+        return cls(
+            trace=full_trace.skip_edges(2 * warmup_periods),
+            warmup_trace=full_trace,
+            events_processed=events_processed,
+        )
 
     @property
     def period_count(self) -> int:
@@ -88,7 +116,7 @@ class RingOscillator(abc.ABC):
         """Draw ``count`` consecutive periods from the analytical model."""
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # exact simulation layer
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def simulate(
@@ -97,14 +125,18 @@ class RingOscillator(abc.ABC):
         seed: SeedLike = None,
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
-        backend: str = "event",
     ) -> SimulationResult:
-        """Run the simulation for ``period_count`` periods.
+        """Run the simulation for ``period_count`` periods (batch kernel)."""
 
-        ``backend="event"`` is the per-event reference engine;
-        ``backend="batch"`` routes through the vectorized kernel in
-        :mod:`repro.simulation.batch` where the configuration allows it.
-        """
+    @abc.abstractmethod
+    def simulate_reference(
+        self,
+        period_count: int,
+        seed: SeedLike = None,
+        modulation: Optional[DeterministicModulation] = None,
+        warmup_periods: int = 16,
+    ) -> SimulationResult:
+        """The same run on the per-event engine: the kernel's test oracle."""
 
     # ------------------------------------------------------------------
     # convenience measurements
@@ -115,7 +147,7 @@ class RingOscillator(abc.ABC):
         seed: SeedLike = 0,
         modulation: Optional[DeterministicModulation] = None,
     ) -> float:
-        """Mean frequency over an event-driven run."""
+        """Mean frequency over a simulated run."""
         result = self.simulate(period_count, seed=seed, modulation=modulation)
         return result.trace.mean_frequency_mhz()
 

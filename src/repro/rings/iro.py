@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.rings.base import RingOscillator, SimulationResult
+from repro.rings.base import RingOscillator, SimulationResult, edge_budget
+from repro.simulation.batch import IROBatchSpec, simulate_iro_batch
 from repro.simulation.engine import SimulationLimits, Simulator
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -28,7 +29,7 @@ from repro.simulation.noise import (
     make_rng,
 )
 from repro.simulation.waveform import EdgeTrace
-from repro.telemetry import default_registry, span
+from repro.telemetry import span
 
 
 class InverterRingOscillator(RingOscillator):
@@ -152,7 +153,7 @@ class InverterRingOscillator(RingOscillator):
         return nominal * (1.0 + weight * factors) + noise
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # exact simulation layer
     # ------------------------------------------------------------------
     def simulate(
         self,
@@ -160,58 +161,40 @@ class InverterRingOscillator(RingOscillator):
         seed: SeedLike = None,
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
-        backend: str = "event",
     ) -> SimulationResult:
-        """Exact run observed at the last ring stage.
+        """Exact run observed at the last ring stage, on the batch kernel.
 
-        ``backend="batch"`` routes through the vectorized kernel in
-        :mod:`repro.simulation.batch` — bit-identical to the event
-        engine for any seed.  Time-varying modulations fall back to the
-        event path (counted in ``repro.batch.fallbacks``).
+        Bit-identical to :meth:`simulate_reference` for any seed and
+        modulation.
         """
-        if period_count < 1:
-            raise ValueError(f"period_count must be positive, got {period_count}")
-        if warmup_periods < 0:
-            raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
-        if backend not in ("event", "batch"):
-            raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        if backend == "batch":
-            from repro.simulation.batch import (
-                IROBatchSpec,
-                modulation_is_batchable,
-                simulate_iro_batch,
-            )
+        edge_count = edge_budget(period_count, warmup_periods)
+        spec = IROBatchSpec.from_ring(self, edge_count=edge_count, seed=seed)
+        result = simulate_iro_batch([spec], modulation=modulation)
+        return SimulationResult.from_full_trace(
+            result.traces[0], warmup_periods, result.events_processed
+        )
 
-            if modulation_is_batchable(modulation, "iro"):
-                needed_edges = 2 * (period_count + warmup_periods) + 1
-                spec = IROBatchSpec.from_ring(self, edge_count=needed_edges, seed=seed)
-                result = simulate_iro_batch([spec], modulation=modulation)
-                full_trace = result.traces[0]
-                return SimulationResult(
-                    trace=full_trace.skip_edges(2 * warmup_periods),
-                    warmup_trace=full_trace,
-                    events_processed=result.events_processed,
-                )
-            default_registry().counter("repro.batch.fallbacks").inc()
-        rng = make_rng(seed)
-        with span("simulate", ring=self.name, periods=period_count) as tele:
-            process = _IROProcess(self, modulation, rng)
+    def simulate_reference(
+        self,
+        period_count: int,
+        seed: SeedLike = None,
+        modulation: Optional[DeterministicModulation] = None,
+        warmup_periods: int = 16,
+    ) -> SimulationResult:
+        """The same run on the per-event engine: the kernel's test oracle."""
+        edge_count = edge_budget(period_count, warmup_periods)
+        with span("simulate_reference", ring=self.name, periods=period_count) as tele:
+            process = _IROProcess(self, modulation, make_rng(seed))
             simulator = Simulator()
             output_node = self.stage_count - 1
             simulator.observe(output_node)
-            # +1 edge so the last period is complete; x2 edges per period.
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-            full_trace = EdgeTrace.from_edges(simulator.edges_for(output_node))
+            simulator.run(process, SimulationLimits(max_observed_edges=edge_count))
             tele.set("events", simulator.events_processed)
-            registry = default_registry()
-            registry.counter("repro.rings.iro.simulations").inc()
-            registry.counter("repro.rings.iro.events").inc(simulator.events_processed)
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=simulator.events_processed,
-            )
+        return SimulationResult.from_full_trace(
+            EdgeTrace.from_edges(simulator.edges_for(output_node)),
+            warmup_periods,
+            simulator.events_processed,
+        )
 
 
 class _IROProcess:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from repro.core.temporal_model import (
     solve_steady_state,
     validate_token_configuration,
 )
-from repro.rings.base import RingOscillator, SimulationResult
+from repro.rings.base import RingOscillator, SimulationResult, edge_budget
 from repro.rings.tokens import fireable_stages, spread_tokens_evenly
+from repro.simulation.batch import STRBatchSpec, simulate_str_batch
 from repro.simulation.engine import SimulationLimits, Simulator, StopReason
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -44,7 +45,7 @@ from repro.simulation.noise import (
     make_rng,
 )
 from repro.simulation.waveform import EdgeTrace
-from repro.telemetry import default_registry, span
+from repro.telemetry import span
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -245,7 +246,7 @@ class SelfTimedRing(RingOscillator):
         return nominal * (1.0 + weight * factors) + noise
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # exact simulation layer
     # ------------------------------------------------------------------
     def simulate(
         self,
@@ -254,62 +255,22 @@ class SelfTimedRing(RingOscillator):
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
         output_stage: int = 0,
-        backend: str = "event",
     ) -> SimulationResult:
-        """Exact run observed at ``output_stage``.
+        """Exact run observed at ``output_stage``, on the batch wave kernel.
 
-        ``backend="batch"`` routes through the vectorized wave kernel in
-        :mod:`repro.simulation.batch` — bit-identical to the event
-        engine for noiseless rings, statistically equivalent (same
-        model, different draw order) with jitter.
+        Bit-identical to :meth:`simulate_reference` for noiseless rings,
+        statistically equivalent (same model, different draw order) with
+        jitter.
         """
-        if period_count < 1:
-            raise ValueError(f"period_count must be positive, got {period_count}")
-        if warmup_periods < 0:
-            raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
-        if not (0 <= output_stage < self.stage_count):
-            raise ValueError(f"output stage {output_stage} outside ring of {self.stage_count}")
-        if backend not in ("event", "batch"):
-            raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        if backend == "batch":
-            from repro.simulation.batch import STRBatchSpec, simulate_str_batch
-
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            spec = STRBatchSpec.from_ring(
-                self, edge_count=needed_edges, seed=seed, output_stage=output_stage
-            )
-            result = simulate_str_batch([spec], modulation=modulation)
-            full_trace = result.traces[0]
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=result.events_processed,
-            )
-        rng = make_rng(seed)
-        with span("simulate", ring=self.name, periods=period_count) as tele:
-            process = _STRProcess(self, modulation, rng)
-            simulator = Simulator()
-            simulator.observe(output_stage)
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            reason = simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-            full_trace = EdgeTrace.from_edges(simulator.edges_for(output_stage))
-            tele.set("events", simulator.events_processed)
-            registry = default_registry()
-            registry.counter("repro.rings.str.simulations").inc()
-            registry.counter("repro.rings.str.events").inc(simulator.events_processed)
-            if reason is StopReason.QUEUE_EMPTY or len(full_trace) < needed_edges:
-                registry.counter("repro.rings.str.deadlocks").inc()
-                raise RuntimeError(
-                    f"{self.name} deadlocked (engine reported {reason.value}) after "
-                    f"{len(full_trace)} observed edges (wanted {needed_edges}); "
-                    f"final state {''.join(str(v) for v in process.state_snapshot())}"
-                )
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=simulator.events_processed,
-            )
-
+        edge_count = edge_budget(period_count, warmup_periods)
+        self._check_stage(output_stage)
+        spec = STRBatchSpec.from_ring(
+            self, edge_count=edge_count, seed=seed, output_stage=output_stage
+        )
+        result = simulate_str_batch([spec], modulation=modulation)
+        return SimulationResult.from_full_trace(
+            result.traces[0], warmup_periods, result.events_processed
+        )
 
     def simulate_phases(
         self,
@@ -318,54 +279,92 @@ class SelfTimedRing(RingOscillator):
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
     ) -> "PhaseSimulationResult":
-        """Event-driven run observing *every* stage output.
+        """Run observing *every* stage output, on the batch wave kernel.
 
         The L stage outputs of an STR are phase-shifted copies of the
         same oscillation — the multi-phase structure the authors'
         follow-up TRNG exploits.  Returns per-stage traces plus the
         merged stream of all stage toggles (the "virtual fast clock"
         whose tick spacing is ``T / (2L)`` when ``gcd(L, NT) = 1``).
+        Every stage records ``2 * (period_count + warmup_periods) + 1``
+        edges, of which the warm-up ones are dropped.
         """
-        if period_count < 1:
-            raise ValueError(f"period_count must be positive, got {period_count}")
-        if warmup_periods < 0:
-            raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
-        rng = make_rng(seed)
-        with span(
-            "simulate_phases", ring=self.name, periods=period_count
-        ) as tele:
-            process = _STRProcess(self, modulation, rng)
+        edge_count = edge_budget(period_count, warmup_periods)
+        spec = STRBatchSpec.from_ring(self, edge_count=edge_count, seed=seed)
+        result = simulate_str_batch([spec], modulation=modulation, all_stages=True)
+        return PhaseSimulationResult.from_stage_traces(
+            result.stage_traces[0], warmup_periods, result.events_processed
+        )
+
+    # ------------------------------------------------------------------
+    # per-event oracle
+    # ------------------------------------------------------------------
+    def simulate_reference(
+        self,
+        period_count: int,
+        seed: SeedLike = None,
+        modulation: Optional[DeterministicModulation] = None,
+        warmup_periods: int = 16,
+        output_stage: int = 0,
+    ) -> SimulationResult:
+        """:meth:`simulate` on the per-event engine: the kernel's test oracle."""
+        edge_count = edge_budget(period_count, warmup_periods)
+        self._check_stage(output_stage)
+        traces, events = self._run_reference(edge_count, seed, modulation, [output_stage])
+        return SimulationResult.from_full_trace(traces[0], warmup_periods, events)
+
+    def simulate_phases_reference(
+        self,
+        period_count: int,
+        seed: SeedLike = None,
+        modulation: Optional[DeterministicModulation] = None,
+        warmup_periods: int = 16,
+    ) -> "PhaseSimulationResult":
+        """:meth:`simulate_phases` on the per-event engine (test oracle)."""
+        edge_count = edge_budget(period_count, warmup_periods)
+        traces, events = self._run_reference(
+            edge_count, seed, modulation, range(self.stage_count)
+        )
+        return PhaseSimulationResult.from_stage_traces(traces, warmup_periods, events)
+
+    def _run_reference(
+        self,
+        edge_count: int,
+        seed: SeedLike,
+        modulation: Optional[DeterministicModulation],
+        stages: Sequence[int],
+    ) -> Tuple[List[EdgeTrace], int]:
+        """First ``edge_count`` edges of each observed stage, per-event engine.
+
+        The engine stops on a total edge count.  Neighbouring stages'
+        firings interleave, so no stage runs more than ``L // 2`` firings
+        ahead of another; observing ``L // 2`` extra edges per stage
+        guarantees every stage its ``edge_count``.
+        """
+        stages = list(stages)
+        slack = 0 if len(stages) == 1 else self.stage_count // 2
+        with span("simulate_reference", ring=self.name, edges=edge_count) as tele:
+            process = _STRProcess(self, modulation, make_rng(seed))
             simulator = Simulator()
-            stage_count = self.stage_count
-            for stage in range(stage_count):
+            for stage in stages:
                 simulator.observe(stage)
-            edges_per_stage = 2 * (period_count + warmup_periods) + 1
-            simulator.run(
+            reason = simulator.run(
                 process,
-                SimulationLimits(max_observed_edges=stage_count * edges_per_stage),
+                SimulationLimits(max_observed_edges=len(stages) * (edge_count + slack)),
             )
             tele.set("events", simulator.events_processed)
-            registry = default_registry()
-            registry.counter("repro.rings.str.simulations").inc()
-            registry.counter("repro.rings.str.events").inc(simulator.events_processed)
-        stage_traces = []
-        for stage in range(stage_count):
-            trace = EdgeTrace.from_edges(simulator.edges_for(stage))
-            stage_traces.append(trace.skip_edges(min(2 * warmup_periods, max(len(trace) - 2, 0))))
-        merged = np.sort(
-            np.concatenate([trace.times_ps for trace in stage_traces])
-        )
-        # Different stages cover slightly different time windows (the run
-        # stops mid-revolution); clip the merged comb to the overlap so
-        # its spacing statistics are free of boundary artifacts.
-        window_start = max(trace.times_ps[0] for trace in stage_traces if len(trace))
-        window_end = min(trace.times_ps[-1] for trace in stage_traces if len(trace))
-        merged = merged[(merged >= window_start) & (merged <= window_end)]
-        return PhaseSimulationResult(
-            stage_traces=stage_traces,
-            merged_edge_times_ps=merged,
-            events_processed=simulator.events_processed,
-        )
+        traces = [EdgeTrace.from_edges(simulator.edges_for(stage)[:edge_count]) for stage in stages]
+        if reason is StopReason.QUEUE_EMPTY or min(len(trace) for trace in traces) < edge_count:
+            raise RuntimeError(
+                f"{self.name} deadlocked (engine reported {reason.value}) after "
+                f"{min(len(trace) for trace in traces)} observed edges (wanted {edge_count}); "
+                f"final state {''.join(str(v) for v in process.state_snapshot())}"
+            )
+        return traces, simulator.events_processed
+
+    def _check_stage(self, stage: int) -> None:
+        if not (0 <= stage < self.stage_count):
+            raise ValueError(f"output stage {stage} outside ring of {self.stage_count}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,6 +379,25 @@ class PhaseSimulationResult:
     stage_traces: List[EdgeTrace]
     merged_edge_times_ps: np.ndarray
     events_processed: int
+
+    @classmethod
+    def from_stage_traces(
+        cls, full_traces: Sequence[EdgeTrace], warmup_periods: int, events_processed: int
+    ) -> "PhaseSimulationResult":
+        """Drop each stage's warm-up edges and merge the toggle comb."""
+        stage_traces = [trace.skip_edges(2 * warmup_periods) for trace in full_traces]
+        merged = np.sort(np.concatenate([trace.times_ps for trace in stage_traces]))
+        # Different stages cover slightly different time windows (each
+        # stops at its own last edge); clip the merged comb to the overlap
+        # so its spacing statistics are free of boundary artifacts.
+        window_start = max(trace.times_ps[0] for trace in stage_traces)
+        window_end = min(trace.times_ps[-1] for trace in stage_traces)
+        merged = merged[(merged >= window_start) & (merged <= window_end)]
+        return cls(
+            stage_traces=stage_traces,
+            merged_edge_times_ps=merged,
+            events_processed=events_processed,
+        )
 
     @property
     def stage_count(self) -> int:

@@ -27,7 +27,9 @@ Every transition lands in the same structured
 ``quarantine``, ``readmit``, ``readmit_failed``, ``circuit_open``,
 ``fault_injected``, ``fault_cleared``), and a :class:`LedgerEntry` per
 sampled block records the ground truth the chaos harness asserts on:
-zero emitted blocks with alarms.
+zero emitted blocks with alarms.  The ledger keeps only the most recent
+:data:`LEDGER_CAPACITY` entries; the count of unhealthy emitted blocks
+runs over the pool's whole life.
 
 Faults are injected as :class:`~repro.faults.base.FaultScenario` values
 against the pool's deterministic clock (bits sampled x reference
@@ -38,9 +40,10 @@ wall-clock scheduling.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -90,6 +93,12 @@ class PoolConfig:
             raise ValueError(f"max flaps must be positive, got {self.max_flaps}")
         if self.min_healthy < 1:
             raise ValueError(f"min healthy must be positive, got {self.min_healthy}")
+
+
+#: Ledger entries a pool keeps (the most recent ones).  One entry per
+#: 512-bit block would otherwise grow without bound on a long-running
+#: server.
+LEDGER_CAPACITY = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +176,9 @@ class TrngPool:
             for index, spec in enumerate(specs)
         ]
         self.events = EventLog()
-        self.ledger: List[LedgerEntry] = []
+        self.ledger: Deque[LedgerEntry] = collections.deque(maxlen=LEDGER_CAPACITY)
+        self._ledger_index = 0
+        self._unhealthy_emitted = 0
         self._buffer = bytearray()
         self._time_s = 0.0
         self._blocks_sampled = 0
@@ -242,10 +253,12 @@ class TrngPool:
         return self.healthy_count < self._config.min_healthy
 
     def unhealthy_emitted_blocks(self) -> int:
-        """Emitted blocks that carried alarms — the SLO demands zero."""
-        return sum(
-            1 for entry in self.ledger if entry.emitted and entry.alarm_count > 0
-        )
+        """Emitted blocks that carried alarms — the SLO demands zero.
+
+        Counted over every block the pool ever sampled, not only those
+        the bounded ledger still holds.
+        """
+        return self._unhealthy_emitted
 
     def status(self) -> Dict[str, Any]:
         """JSON-able pool snapshot (served on STATUS frames)."""
@@ -334,9 +347,11 @@ class TrngPool:
     def _record(
         self, channel: PoolChannel, purpose: str, status: str, alarms: int, emitted: bool
     ) -> None:
+        if emitted and alarms > 0:
+            self._unhealthy_emitted += 1
         self.ledger.append(
             LedgerEntry(
-                index=len(self.ledger),
+                index=self._ledger_index,
                 time_s=self._time_s,
                 channel=channel.name,
                 purpose=purpose,
@@ -345,6 +360,7 @@ class TrngPool:
                 emitted=emitted,
             )
         )
+        self._ledger_index += 1
 
     def _sample(self, channel: PoolChannel) -> tuple:
         """Sample one block from ``channel`` under the active effect."""

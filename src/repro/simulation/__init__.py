@@ -1,20 +1,19 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
 This subpackage provides the generic machinery the ring models are built
-on: a heap-based event engine (:mod:`repro.simulation.engine`), transition
-records (:mod:`repro.simulation.events`), edge-trace analysis
-(:mod:`repro.simulation.waveform`), the jitter/noise sources of the
-paper's Section IV (:mod:`repro.simulation.noise`) and the vectorized
-batch kernel that advances whole populations of rings at once
-(:mod:`repro.simulation.batch`).
+on: the vectorized batch kernel that advances whole populations of
+rings at once (:mod:`repro.simulation.batch`, behind every
+``simulate``), a heap-based event engine kept as the kernel's test
+oracle (:mod:`repro.simulation.engine`), transition records
+(:mod:`repro.simulation.events`), edge-trace analysis
+(:mod:`repro.simulation.waveform`) and the jitter/noise sources of the
+paper's Section IV (:mod:`repro.simulation.noise`).
 """
 
 from repro.simulation.batch import (
     BatchSimulationResult,
-    BatchUnsupported,
     IROBatchSpec,
     STRBatchSpec,
-    modulation_is_batchable,
     simulate_iro_batch,
     simulate_str_batch,
 )
@@ -35,10 +34,8 @@ from repro.simulation.waveform import EdgeTrace, periods_from_edges, half_period
 
 __all__ = [
     "BatchSimulationResult",
-    "BatchUnsupported",
     "IROBatchSpec",
     "STRBatchSpec",
-    "modulation_is_batchable",
     "simulate_iro_batch",
     "simulate_str_batch",
     "Simulator",

@@ -20,7 +20,10 @@ per ring, clamps the causality guard, and ``cumsum``s.  Because numpy's
 ``Generator`` produces the *same stream* whether sampled scalar-by-scalar
 or as one array, and ``cumsum`` accumulates in the same order as the
 event loop, the kernel is **bit-exact** against the event engine for the
-same seed (the identity the batch==event tests pin down).
+same seed (the identity the kernel-vs-oracle tests pin down).  Under a
+time-varying modulation hop ``k``'s delay depends on ``t_{k-1}``, so the
+kernel steps hop by hop instead, vectorized across the rings of the
+batch — still the event process's float operations in its order.
 
 **STR** (:func:`simulate_str_batch`).  A self-timed ring is a marked
 graph: stage ``i`` fires when it holds a token (``C_i != C_{i-1}``) and
@@ -40,6 +43,9 @@ when ``sigma = 0`` — and is statistically equivalent otherwise (the
 noise stream is consumed in a different, but per-ring deterministic,
 order; see docs/performance.md for the documented tolerance bounds).
 
+The STR kernel can also record every stage, not just one output stage
+(``all_stages=True``, what :meth:`SelfTimedRing.simulate_phases` reads).
+
 Rings of different lengths batch together: stage axes are padded to the
 longest ring and neighbours resolved through per-ring index maps, so a
 mixed FIG11/FIG12-style workload runs as one kernel invocation.
@@ -52,7 +58,7 @@ performance choice.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -69,30 +75,6 @@ from repro.telemetry import default_registry, span
 #: a delay non-positive; the kernels clamp with the same constant so the
 #: guarded paths stay bit-compatible.
 _CAUSALITY_GUARD_PS = 1e-6
-
-
-class BatchUnsupported(ValueError):
-    """A workload feature the batch kernel cannot reproduce exactly.
-
-    Callers with a ``backend="batch"`` switch catch this and fall back
-    to the per-event engine (counted under ``repro.batch.fallbacks``).
-    """
-
-
-def modulation_is_batchable(
-    modulation: Optional[DeterministicModulation], family: str
-) -> bool:
-    """Whether the batch kernel handles ``modulation`` exactly.
-
-    The STR wave kernel evaluates any modulation exactly (the event
-    engine samples it at ``max(t_f, t_r)``, which the wave has).  The
-    IRO kernel needs the factor to be time-independent — a hop's delay
-    would otherwise depend on the not-yet-summed previous hop time — so
-    only ``None``/:class:`ConstantModulation` qualify.
-    """
-    if family == "str":
-        return True
-    return modulation is None or isinstance(modulation, ConstantModulation)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,12 +235,15 @@ class BatchSimulationResult:
 
     ``events_processed`` counts stage firings / hops across the whole
     batch; ``waves`` is the number of synchronous iterations the STR
-    kernel ran (0 for IRO batches).
+    kernel ran (0 for IRO batches).  ``stage_traces`` holds every
+    stage's trace per ring when the STR kernel ran with
+    ``all_stages=True`` (``None`` otherwise).
     """
 
     traces: List[EdgeTrace]
     events_processed: int
     waves: int = 0
+    stage_traces: Optional[List[List[EdgeTrace]]] = None
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -290,45 +275,111 @@ def _iro_noise(
     return noise
 
 
+def _iro_cumsum(
+    spec: IROBatchSpec, modulation: Optional[ConstantModulation]
+) -> np.ndarray:
+    """Hop arrival times of one ring under a time-independent modulation."""
+    hop_count = spec.edge_count * spec.stage_count
+    base = spec.stage_delays_ps
+    if modulation is not None:
+        # Same float ops as the event process: D * (1 + w * f).
+        base = base * (1.0 + spec.supply_weights * modulation.factor(0.0))
+    delays = np.tile(base, spec.edge_count)
+    delays += _iro_noise(spec, hop_count, make_rng(spec.seed))
+    np.maximum(delays, _CAUSALITY_GUARD_PS, where=delays <= 0.0, out=delays)
+    return np.cumsum(delays)
+
+
+def _iro_hop_loop(
+    specs: Sequence[IROBatchSpec], modulation: DeterministicModulation
+) -> List[np.ndarray]:
+    """Hop arrival times under a time-varying modulation, all rings at once.
+
+    The event process scales hop ``k``'s delay by the modulation at the
+    instant hop ``k - 1`` arrived, so the hops cannot be summed in one
+    pass.  Stepping hop by hop along a (hop, ring) plane repeats the
+    event process's float operations in its order, so the times stay
+    bit-exact; rings shorter than the longest are padded with unit
+    delays whose times are dropped.
+    """
+    if len(specs) == 1:
+        return [_iro_hops_one_ring(specs[0], modulation)]
+    hop_counts = [spec.edge_count * spec.stage_count for spec in specs]
+    plane = (max(hop_counts), len(specs))
+    base = np.ones(plane)
+    weights = np.zeros(plane)
+    noise = np.zeros(plane)
+    for column, (spec, hops) in enumerate(zip(specs, hop_counts)):
+        base[:hops, column] = np.tile(spec.stage_delays_ps, spec.edge_count)
+        weights[:hops, column] = np.tile(spec.supply_weights, spec.edge_count)
+        noise[:hops, column] = _iro_noise(spec, hops, make_rng(spec.seed))
+    times = np.empty(plane)
+    now = np.zeros(len(specs))
+    for hop in range(plane[0]):
+        delay = weights[hop] * modulation.factor_array(now)
+        delay += 1.0
+        delay *= base[hop]
+        delay += noise[hop]
+        np.maximum(delay, _CAUSALITY_GUARD_PS, where=delay <= 0.0, out=delay)
+        now = now + delay
+        times[hop] = now
+    return [times[:hops, column] for column, hops in enumerate(hop_counts)]
+
+
+def _iro_hops_one_ring(
+    spec: IROBatchSpec, modulation: DeterministicModulation
+) -> np.ndarray:
+    """:func:`_iro_hop_loop` for a lone ring, stepped on Python floats.
+
+    With one ring per step numpy's per-call overhead dominates; the
+    scalar loop runs the same double-precision operations, through
+    ``modulation.factor`` (which every modulation keeps bit-identical to
+    ``factor_array``), about ten times faster.
+    """
+    hop_count = spec.edge_count * spec.stage_count
+    steps = zip(
+        np.tile(spec.stage_delays_ps, spec.edge_count).tolist(),
+        np.tile(spec.supply_weights, spec.edge_count).tolist(),
+        _iro_noise(spec, hop_count, make_rng(spec.seed)).tolist(),
+    )
+    factor = modulation.factor
+    times = []
+    now = 0.0
+    for base, weight, noise in steps:
+        delay = base * (1.0 + weight * factor(now)) + noise
+        if delay <= 0.0:
+            delay = _CAUSALITY_GUARD_PS
+        now += delay
+        times.append(now)
+    return np.array(times)
+
+
 def simulate_iro_batch(
     specs: Sequence[IROBatchSpec],
     modulation: Optional[DeterministicModulation] = None,
 ) -> BatchSimulationResult:
-    """Advance a batch of inverter rings with one cumsum per ring.
+    """Advance a batch of inverter rings.
 
-    Bit-exact against ``InverterRingOscillator.simulate`` for the same
-    per-ring seed.  Only time-independent modulations are supported —
-    :func:`modulation_is_batchable` tells callers in advance; anything
-    else raises :class:`BatchUnsupported` (the event engine handles it).
+    Bit-exact against the event oracle
+    (:meth:`~repro.rings.iro.InverterRingOscillator.simulate_reference`)
+    for the same per-ring seed.  Without a modulation, or with a
+    :class:`ConstantModulation`, each ring is one ``cumsum``; any other
+    modulation runs the hop-by-hop loop of :func:`_iro_hop_loop`.
     """
     specs = list(specs)
-    if not modulation_is_batchable(modulation, "iro"):
-        raise BatchUnsupported(
-            f"IRO batch kernel cannot evaluate time-varying modulation "
-            f"{modulation!r} exactly; use the event backend"
-        )
     if not specs:
         return BatchSimulationResult(traces=[], events_processed=0)
-    factor = 0.0 if modulation is None else modulation.factor(0.0)
     with span("batch_simulate", family="iro", rings=len(specs)) as tele:
-        traces: List[EdgeTrace] = []
-        total_events = 0
-        for spec in specs:
-            stage_count = spec.stage_count
-            hop_count = spec.edge_count * stage_count
-            tiles = -(-hop_count // stage_count)
-            base = spec.stage_delays_ps
-            if modulation is not None:
-                # Same float ops as the event process: D * (1 + w * f).
-                base = base * (1.0 + spec.supply_weights * factor)
-            delays = np.tile(base, tiles)[:hop_count]
-            delays = delays + _iro_noise(spec, hop_count, make_rng(spec.seed))
-            np.maximum(delays, _CAUSALITY_GUARD_PS, where=delays <= 0.0, out=delays)
-            times = np.cumsum(delays)
-            # The observed node is the last stage: one edge per lap.
-            edge_times = times[stage_count - 1 :: stage_count]
-            traces.append(EdgeTrace(edge_times, first_value=1))
-            total_events += hop_count
+        if modulation is None or isinstance(modulation, ConstantModulation):
+            hop_times = [_iro_cumsum(spec, modulation) for spec in specs]
+        else:
+            hop_times = _iro_hop_loop(specs, modulation)
+        # The observed node is the last stage: one edge per lap.
+        traces = [
+            EdgeTrace(times[spec.stage_count - 1 :: spec.stage_count], first_value=1)
+            for spec, times in zip(specs, hop_times)
+        ]
+        total_events = sum(times.size for times in hop_times)
         tele.set("events", total_events)
         registry = default_registry()
         registry.counter("repro.batch.simulations").inc()
@@ -364,6 +415,7 @@ def _noise_tensor(
 def simulate_str_batch(
     specs: Sequence[STRBatchSpec],
     modulation: Optional[DeterministicModulation] = None,
+    all_stages: bool = False,
 ) -> BatchSimulationResult:
     """Advance a batch of self-timed rings wave by wave.
 
@@ -379,6 +431,10 @@ def simulate_str_batch(
     a dense precomputed-structure kernel (:func:`_simulate_str_parity`);
     anything else falls back to the general masked-wave kernel.
 
+    With ``all_stages=True`` every stage of a ring records its first
+    ``edge_count`` firings (``stage_traces``), and the ring runs until
+    its slowest stage has them.
+
     Raises ``RuntimeError`` when a ring deadlocks (no fireable stage
     left before its edge budget is met), mirroring the event path.
     """
@@ -387,8 +443,26 @@ def simulate_str_batch(
         return BatchSimulationResult(traces=[], events_processed=0)
     plans = _parity_plan(specs)
     if plans is not None:
-        return _simulate_str_parity(specs, modulation, plans)
-    return _simulate_str_waves(specs, modulation)
+        return _simulate_str_parity(specs, modulation, plans, all_stages)
+    return _simulate_str_waves(specs, modulation, all_stages)
+
+
+def _stage_traces(
+    specs: Sequence[STRBatchSpec], times: Sequence[np.ndarray]
+) -> List[List[EdgeTrace]]:
+    """Per-ring, per-stage traces from ``times[r]`` of shape (edge, stage).
+
+    Every firing flips a stage's output (it copies a predecessor that
+    differs from it), so a stage's first edge takes the opposite of its
+    initial value.
+    """
+    return [
+        [
+            EdgeTrace(ring_times[: spec.edge_count, stage], first_value=1 - int(value))
+            for stage, value in enumerate(spec.initial_state)
+        ]
+        for spec, ring_times in zip(specs, times)
+    ]
 
 
 def _parity_plan(specs: Sequence[STRBatchSpec]) -> Optional[List[np.ndarray]]:
@@ -430,37 +504,44 @@ def _parity_plan(specs: Sequence[STRBatchSpec]) -> Optional[List[np.ndarray]]:
     return plans
 
 
-def _noise_flat(
-    specs: Sequence[STRBatchSpec], budget: int, bases: np.ndarray
-) -> np.ndarray:
-    """Pre-drawn jitter in flat layout: ``[n, base_r + stage]``.
+def _noise_by_class(
+    specs: Sequence[STRBatchSpec], budget: int, plans: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """Pre-drawn jitter of the parity kernel, one array per firing class.
 
-    Draw-for-draw identical to :func:`_noise_tensor` for the same seeds
-    and firing indices (both fill each ring's block row-major), so the
-    parity and general kernels consume the very same values.
+    ``[n, j]`` is the n-th firing's draw of the class's j-th stage (rings
+    in order, stages ascending).  Draw-for-draw identical to
+    :func:`_noise_tensor` for the same seeds and firing indices (each
+    ring's block is drawn row-major), so the parity and general kernels
+    consume the very same values.
     """
-    total = int(bases[-1]) + specs[-1].stage_count
-    noise = np.zeros((budget, total))
-    for spec, base in zip(specs, bases):
-        if np.all(spec.jitter_sigmas_ps == 0.0):
-            continue
-        block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
-        block *= spec.jitter_sigmas_ps[np.newaxis, :]
-        noise[:, base : base + spec.stage_count] = block
-    return noise
+    masks = [list(plans), [~plan for plan in plans]]
+    out = [np.zeros((budget, int(sum(m.sum() for m in ring_masks)))) for ring_masks in masks]
+    starts = [0, 0]
+    for row, spec in enumerate(specs):
+        widths = [int(masks[phase][row].sum()) for phase in (0, 1)]
+        if not np.all(spec.jitter_sigmas_ps == 0.0):
+            block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
+            block *= spec.jitter_sigmas_ps[np.newaxis, :]
+            for phase in (0, 1):
+                columns = slice(starts[phase], starts[phase] + widths[phase])
+                out[phase][:, columns] = block[:, masks[phase][row]]
+        starts = [start + width for start, width in zip(starts, widths)]
+    return out
 
 
 def _simulate_str_parity(
     specs: Sequence[STRBatchSpec],
     modulation: Optional[DeterministicModulation],
     plans: Sequence[np.ndarray],
+    all_stages: bool = False,
 ) -> BatchSimulationResult:
     """Dense STR kernel for rings with a proven even/odd firing pattern.
 
     All rings' stages are packed into one flat vector (no padding), and
     because the firing sets are known a priori there is no per-wave
     enabled-mask computation, no done bookkeeping, and the noise row for
-    firing index ``k`` is just row ``k`` of the pre-drawn matrix.  Every
+    firing index ``k`` is just row ``k`` of its class's pre-drawn matrix.  Every
     float operation mirrors :func:`_simulate_str_waves` exactly.
     """
     ring_count = len(specs)
@@ -472,7 +553,6 @@ def _simulate_str_parity(
     def packed(attr: str) -> np.ndarray:
         return np.concatenate([np.asarray(getattr(s, attr)) for s in specs])
 
-    state = packed("initial_state").astype(np.int8)
     static_d = packed("static_delays_ps")
     offsets = packed("separation_offsets_ps")
     charlie = packed("charlie_ps")
@@ -494,99 +574,99 @@ def _simulate_str_parity(
         [0 if plan[spec.output_stage] else 1 for spec, plan in zip(specs, plans)],
         dtype=np.intp,
     )
-    budget = int(edge_counts.max()) + 4
-    noise = _noise_flat(specs, budget, bases)
-
-    # Per-parity structure, fixed for the whole run: firing positions,
-    # their neighbours, and their parameter slices (gathered once).
-    pos, pre, suc, par = [], [], [], []
-    for phase in (0, 1):
-        mask = np.concatenate(
-            [plan if phase == 0 else ~plan for plan in plans]
-        )
-        p = np.flatnonzero(mask)
-        pos.append(p)
-        pre.append(pred.take(p))
-        suc.append(succ.take(p))
-        par.append(
-            {
-                "static": static_d.take(p),
-                "offsets": offsets.take(p),
-                "charlie": charlie.take(p),
-                "weights": weights.take(p),
-                "amp": draft_amp.take(p),
-                "tau": draft_tau.take(p),
-                "amp_positive": draft_amp.take(p) > 0.0,
-            }
-        )
-    out_pos = [out_global[out_parity == phase] for phase in (0, 1)]
-    out_rings = [np.flatnonzero(out_parity == phase) for phase in (0, 1)]
-
     edge_budget = int(edge_counts.max())
-    edges_t = np.zeros((edge_budget, ring_count))
-    first_values = np.full(ring_count, -1, dtype=np.int8)
+    noise = _noise_by_class(specs, edge_budget + 4, plans)
     total_waves = int((2 * (edge_counts - 1) + out_parity).max()) + 1
+    if all_stages:
+        # Both firing classes need ``edge_budget`` firings each.
+        total_waves = 2 * edge_budget
 
-    bufs = [
-        {name: np.empty(pos[phase].size) for name in ("f", "r", "mean", "shift", "delay", "fire", "tmp", "z")}
-        for phase in (0, 1)
-    ]
+    # Per firing class, fixed for the whole run: firing positions, their
+    # neighbours and parameter slices, the class's noise columns (row k
+    # holds the k-th firing's draws), the positions of the output stages
+    # it holds, its recorded times, and scratch buffers.
+    classes, out_rows, out_edges, histories = [], [], [], []
+    for phase in (0, 1):
+        p = np.flatnonzero(np.concatenate([plan if phase == 0 else ~plan for plan in plans]))
+        out_rows.append(np.flatnonzero(out_parity == phase))
+        out_edges.append(np.zeros((edge_budget, out_rows[phase].size)))
+        histories.append(np.zeros((edge_budget if all_stages else 0, p.size)))
+        # One gather fills both neighbour rows (forward, reverse); one
+        # scale halves both the sum and the difference rows.
+        neighbours = np.empty((2, p.size))
+        halves = np.empty((2, p.size))
+        classes.append(
+            (
+                p,
+                np.stack([pred.take(p), succ.take(p)]),
+                neighbours,
+                neighbours[0],
+                neighbours[1],
+                halves,
+                halves[0],
+                halves[1],
+                static_d.take(p),
+                offsets.take(p),
+                charlie.take(p),
+                weights.take(p),
+                draft_amp.take(p),
+                draft_tau.take(p),
+                draft_amp.take(p) > 0.0,
+                noise[phase],
+                np.searchsorted(p, out_global[out_rows[phase]]),
+                out_edges[phase],
+                histories[phase],
+            )
+            + tuple(np.empty(p.size) for _ in range(3))
+        )
 
     total_events = 0
     with span("batch_simulate", family="str", rings=ring_count, kernel="parity") as tele:
         for wave in range(total_waves):
-            phase = wave & 1
             k = wave >> 1
-            p = pos[phase]
-            prm = par[phase]
-            b = bufs[phase]
-            f_t, r_t = b["f"], b["r"]
-            mean_t, shifted, delay = b["mean"], b["shift"], b["delay"]
-            fire_time, tmp = b["fire"], b["tmp"]
+            (
+                p, pre_suc, neighbours, f_t, r_t, halves, mean_t, shifted,
+                static_p, offsets_p, charlie_p, weights_p, amp_p, tau_p,
+                amp_positive, noise_p, out_local, out_edges_p, history,
+                delay, fire_time, tmp,
+            ) = classes[wave & 1]
 
-            last_time.take(pre[phase], out=f_t)
-            last_time.take(suc[phase], out=r_t)
+            last_time.take(pre_suc, out=neighbours)
             np.add(f_t, r_t, out=mean_t)
-            mean_t *= 0.5
             np.subtract(f_t, r_t, out=shifted)
-            shifted *= 0.5
-            shifted -= prm["offsets"]
-            np.hypot(prm["charlie"], shifted, out=delay)
-            delay += prm["static"]
+            halves *= 0.5
+            shifted -= offsets_p
+            np.hypot(charlie_p, shifted, out=delay)
+            delay += static_p
             if drafting_active:
                 np.add(mean_t, delay, out=tmp)
                 tmp -= last_time.take(p)
                 draft_mask = tmp > 0.0
-                draft_mask &= prm["amp_positive"]
+                draft_mask &= amp_positive
                 np.maximum(tmp, 0.0, out=tmp)
                 np.negative(tmp, out=tmp)
-                tmp /= prm["tau"]
+                tmp /= tau_p
                 np.exp(tmp, out=tmp)
-                tmp *= prm["amp"]
+                tmp *= amp_p
                 tmp *= draft_mask
                 delay -= tmp
             floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
             if modulation is not None:
                 factor = modulation.factor_array(floor_t)
-                factor *= prm["weights"]
+                factor *= weights_p
                 factor += 1.0
                 delay *= factor
-            noise[k].take(p, out=b["z"])
-            delay += b["z"]
+            delay += noise_p[k]
 
             np.add(mean_t, delay, out=fire_time)
             np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
             np.copyto(fire_time, tmp, where=fire_time <= floor_t)
 
-            state.put(p, state.take(pre[phase]))
             last_time.put(p, fire_time)
             total_events += p.size
-
-            rec = out_pos[phase]
-            if rec.size:
-                edges_t[k, out_rings[phase]] = last_time.take(rec)
-                if k == 0:
-                    first_values[out_rings[phase]] = state.take(rec)
+            fire_time.take(out_local, out=out_edges_p[k])
+            if all_stages:
+                history[k] = fire_time
 
         tele.set("events", total_events)
         tele.set("waves", total_waves)
@@ -596,21 +676,40 @@ def _simulate_str_parity(
         registry.counter("repro.batch.events").inc(total_events)
         registry.counter("repro.batch.waves").inc(total_waves)
 
+    # Every firing flips a stage's output (it copies a predecessor that
+    # differs from it), so the first edge takes the opposite of the
+    # initial value.
+    edges_t = np.zeros((edge_budget, ring_count))
+    stage_t = np.zeros((edge_budget, total)) if all_stages else None
+    for phase in (0, 1):
+        edges_t[:, out_rows[phase]] = out_edges[phase]
+        if stage_t is not None:
+            stage_t[:, classes[phase][0]] = histories[phase]
     traces = [
         EdgeTrace(
-            edges_t[: edge_counts[row], row].copy(),
-            first_value=int(first_values[row]) if first_values[row] >= 0 else 1,
+            edges_t[: spec.edge_count, row].copy(),
+            first_value=1 - int(spec.initial_state[spec.output_stage]),
         )
-        for row in range(ring_count)
+        for row, spec in enumerate(specs)
     ]
+    stage_traces = None
+    if stage_t is not None:
+        stage_traces = _stage_traces(
+            specs,
+            [stage_t[:, base : base + n] for base, n in zip(bases, lengths)],
+        )
     return BatchSimulationResult(
-        traces=traces, events_processed=total_events, waves=total_waves
+        traces=traces,
+        events_processed=total_events,
+        waves=total_waves,
+        stage_traces=stage_traces,
     )
 
 
 def _simulate_str_waves(
     specs: Sequence[STRBatchSpec],
     modulation: Optional[DeterministicModulation] = None,
+    all_stages: bool = False,
 ) -> BatchSimulationResult:
     """General masked-wave STR kernel (padded planes, any configuration)."""
     ring_count = len(specs)
@@ -653,7 +752,9 @@ def _simulate_str_waves(
     amp_positive = draft_amp > 0.0
     # Per-stage firing budget: stages fire at most one lap apart, so the
     # output's edge budget plus slack bounds every stage; grown on demand.
-    budget = max_edges + 8
+    # Neighbouring stages' firings interleave, so no stage runs more than
+    # L/2 firings ahead of the slowest one when every stage records.
+    budget = max_edges + 8 + (max_stages // 2 if all_stages else 0)
     noise = _noise_tensor(specs, budget, max_stages)  # (ring, firing, stage)
 
     # Flat indices into the raveled (ring, stage) planes — `ndarray.take`
@@ -669,6 +770,13 @@ def _simulate_str_waves(
 
     fire_count = np.zeros((ring_count, max_stages), dtype=np.intp)
     edges = np.zeros((ring_count, max_edges))
+    stage_edges = None
+    if all_stages:
+        # Same layout as the noise tensor: [ring, n, stage] is the stage's
+        # n-th firing time.  A ring is done once its slowest real stage
+        # has fired edge_count times.
+        stage_edges = np.zeros_like(noise)
+        real = cols[np.newaxis, :] < np.array([s.stage_count for s in specs])[:, np.newaxis]
     first_values = np.full(ring_count, -1, dtype=np.int8)
     filled = np.zeros(ring_count, dtype=np.intp)
     done = filled >= edge_counts
@@ -743,6 +851,10 @@ def _simulate_str_waves(
                 count_bound = int(fire_count.max())
                 if count_bound >= budget:
                     noise = _grow_noise(noise, specs, max_stages)
+                    if stage_edges is not None:
+                        grown = np.zeros_like(noise)
+                        grown[:, :budget] = stage_edges
+                        stage_edges = grown
                     budget = noise.shape[1]
                     noise_rc = rows[:, np.newaxis] * (
                         budget * max_stages
@@ -756,6 +868,11 @@ def _simulate_str_waves(
             np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
             np.copyto(fire_time, tmp, where=fire_time <= floor_t)
 
+            if stage_edges is not None:
+                # Every position writes to the slot of its next firing; a
+                # stage that did not fire is overwritten when it does, and
+                # slots past edge_count are never read.
+                stage_edges.put(nidx, fire_time)
             np.copyto(state, s_pred, where=enabled)
             np.copyto(last_time, fire_time, where=enabled)
             fire_count += enabled
@@ -763,6 +880,11 @@ def _simulate_str_waves(
             total_events += fired
             waves += 1
 
+            if stage_edges is not None:
+                filled = fire_count.min(axis=1, initial=max_edges, where=real)
+                done = filled >= edge_counts
+                active = ~done[:, np.newaxis]
+                continue
             recording = enabled.take(flat_out)
             if recording.any():
                 rec_rows = np.flatnonzero(recording)
@@ -786,6 +908,14 @@ def _simulate_str_waves(
         registry.counter("repro.batch.events").inc(total_events)
         registry.counter("repro.batch.waves").inc(waves)
 
+    if stage_edges is not None:
+        stage_traces = _stage_traces(specs, stage_edges)
+        return BatchSimulationResult(
+            traces=[stage_traces[row][out_idx[row]] for row in range(ring_count)],
+            events_processed=total_events,
+            waves=waves,
+            stage_traces=stage_traces,
+        )
     traces = [
         EdgeTrace(
             edges[row, : edge_counts[row]],
@@ -812,10 +942,8 @@ def _grow_noise(
 
 __all__ = [
     "BatchSimulationResult",
-    "BatchUnsupported",
     "IROBatchSpec",
     "STRBatchSpec",
-    "modulation_is_batchable",
     "simulate_iro_batch",
     "simulate_str_batch",
 ]

@@ -5,6 +5,10 @@ queue of :class:`~repro.simulation.events.Transition` records and hands
 each one to the *process* being simulated, which reacts by scheduling
 further transitions.  Ring models implement the :class:`Process` protocol.
 
+Production simulation runs on the vectorized kernel of
+:mod:`repro.simulation.batch`; this engine is its reference oracle,
+reached through the rings' ``simulate_reference`` entry points.
+
 Determinism
 -----------
 Two transitions scheduled for the same instant pop in the order they were

@@ -12,7 +12,7 @@ processes merge without loss:
 
 Names follow the ``repro.<layer>.<name>`` convention documented in
 ``docs/observability.md`` (e.g. ``repro.parallel.cache.hits``,
-``repro.rings.str.events``).
+``repro.batch.events``).
 
 The process-global *default registry* is what instrumented library code
 writes to.  Pool workers run their chunk under a fresh registry

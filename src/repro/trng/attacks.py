@@ -188,7 +188,7 @@ def measure_deterministic_response(
 ) -> DeterministicResponse:
     """Measure the ripple-induced period modulation of one ring.
 
-    Runs the event-driven simulation twice — clean and under attack —
+    Runs the exact simulation twice — clean and under attack —
     with the same noise seed, and separates the deterministic
     contribution in quadrature.
     """

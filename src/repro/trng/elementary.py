@@ -89,8 +89,8 @@ class ElementaryTrng:
         Sampling period of the reference clock.  Must be slower than the
         ring (subsampling), otherwise the construction is meaningless.
     use_simulation:
-        ``True`` draws the oscillator timeline from the event-driven
-        simulation (slow, exact); ``False`` (default) from the analytical
+        ``True`` draws the oscillator timeline from the exact
+        simulation (slower); ``False`` (default) from the analytical
         fast path.
     """
 

@@ -19,8 +19,8 @@ the STR period jitter is per-stage, not per-ring (Eq. 5).
 
 Two evaluation paths, mirroring the ring models:
 
-* :class:`MultiphaseStrTrng` — exact: event-driven simulation of all
-  stages, bits from the merged toggle comb;
+* :class:`MultiphaseStrTrng` — exact: simulation of all stages, bits
+  from the merged toggle comb;
 * :class:`MultiphaseModel` — fast: the comb's phase performs a random
   walk with the ring's measured diffusion rate; O(1) per bit.
 """
@@ -112,7 +112,7 @@ def measure_diffusion_sigma_ps(
 
 
 class MultiphaseStrTrng:
-    """Exact multi-phase sampler on the event-driven STR model.
+    """Exact multi-phase sampler on the simulated STR model.
 
     Parameters
     ----------

@@ -235,8 +235,6 @@ def _str_sigmas(
         method="population",
         period_count=int(params["periods"]),
         seed=seed,
-        jobs=1,
-        cache=None,
     )
     return lengths, [result.sigma_period_ps for result in results]
 
@@ -319,8 +317,6 @@ def _check_c2(seed: int, params: Mapping[str, Any]) -> Evidence:
         method="population",
         period_count=int(params["periods"]),
         seed=seed,
-        jobs=1,
-        cache=None,
     )
     implied = [
         result.sigma_period_ps / math.sqrt(2.0 * length)
@@ -728,8 +724,6 @@ def _check_eq4(seed: int, params: Mapping[str, Any]) -> Evidence:
             method="population",
             period_count=int(params["periods"]),
             seed=sub,
-            jobs=1,
-            cache=None,
         )
         fit = fit_sqrt_accumulation(lengths, [r.sigma_period_ps for r in results])
         exponents.append(fit.free_fit.exponent)

@@ -52,6 +52,19 @@ class TestInvalidation:
         assert new.get("sweep_point", SPEC, 1) is MISSING
         assert old.get("sweep_point", SPEC, 1) == 42
 
+    def test_event_engine_era_entries_miss(self, tmp_path):
+        # 1.0.0 results came from the per-event engine; the batch kernel's
+        # noisy-STR numbers differ, so those entries must never be served.
+        import repro
+
+        assert repro.__version__ != "1.0.0"
+        ResultCache(root=tmp_path, version="1.0.0").put(
+            "campaign_jitter_segment", SPEC, 1, [1.0, 2.0]
+        )
+        current = ResultCache(root=tmp_path)
+        assert current.version == repro.__version__
+        assert current.get("campaign_jitter_segment", SPEC, 1) is MISSING
+
     def test_spec_change_misses(self, cache):
         cache.put("sweep_point", SPEC, 1, 42)
         changed = dict(SPEC, voltage_v=1.4)

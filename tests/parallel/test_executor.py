@@ -31,8 +31,28 @@ class TestResolveJobs:
     def test_none_and_zero_mean_all_cores(self):
         import os
 
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert resolve_jobs(None) == usable
+        assert resolve_jobs(0) == usable
+
+    def test_none_respects_the_affinity_set(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(None) == 3
+        assert resolve_jobs(0) == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(None) == 6
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ families.
 import pytest
 
 from repro.core.campaign import RingSpec, run_campaign
-from repro.core.characterization import jitter_versus_length, sweep_voltage
+from repro.core.characterization import sweep_voltage
 from repro.experiments.ext10_fault_recovery import run as run_ext10
 from repro.parallel import ResultCache
 from repro.rings.iro import InverterRingOscillator
@@ -64,26 +64,6 @@ class TestSweepIdentity:
         serial = sweep_voltage(board, builder, jobs=1, **kwargs)
         parallel = sweep_voltage(board, builder, jobs=2, **kwargs)
         assert list(parallel.frequencies_mhz) == list(serial.frequencies_mhz)
-
-
-class TestJitterIdentity:
-    @pytest.mark.parametrize("family", ["iro", "str"])
-    def test_parallel_matches_serial(self, board, family):
-        kwargs = dict(
-            lengths=(3, 5, 9) if family == "iro" else (4, 8, 16),
-            ring_family=family,
-            method="population",
-            period_count=96,
-            seed=11,
-        )
-        serial = jitter_versus_length(board, jobs=1, **kwargs)
-        parallel = jitter_versus_length(board, jobs=2, **kwargs)
-        assert [r.sigma_period_ps for r in parallel] == [
-            r.sigma_period_ps for r in serial
-        ]
-        assert [r.frequency_mhz for r in parallel] == [
-            r.frequency_mhz for r in serial
-        ]
 
 
 class TestExt10Identity:

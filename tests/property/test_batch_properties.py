@@ -3,7 +3,8 @@
 The batch kernel's contract, exercised over randomly drawn lengths,
 seeds and jitter magnitudes:
 
-* IRO batches are *bit-identical* to the event engine, always;
+* IRO batches are *bit-identical* to the event engine, always — also
+  under a time-varying (sinusoidal) supply modulation;
 * STR batches are bit-identical whenever the rings are noiseless, and
   statistically equivalent otherwise (same process, different draw
   order — mean period within 1%, period jitter within a factor
@@ -24,6 +25,7 @@ from repro.simulation.batch import (
     simulate_iro_batch,
     simulate_str_batch,
 )
+from repro.simulation.noise import SinusoidalModulation
 
 
 @st.composite
@@ -52,9 +54,11 @@ def str_rings(draw):
     return SelfTimedRing([diagram] * stages, tokens, jitter_sigmas_ps=0.0)
 
 
-def full_event_times(ring, edge_count, seed):
+def full_event_times(ring, edge_count, seed, modulation=None):
     period_count = (edge_count - 1) // 2
-    result = ring.simulate(period_count, seed=seed, warmup_periods=0)
+    result = ring.simulate_reference(
+        period_count, seed=seed, modulation=modulation, warmup_periods=0
+    )
     return result.warmup_trace.times_ps[:edge_count]
 
 
@@ -71,6 +75,29 @@ class TestIROEquivalence:
         for ring, ring_seed, trace in zip(rings, seeds, batch.traces):
             np.testing.assert_array_equal(
                 trace.times_ps, full_event_times(ring, 21, ring_seed)
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        iro_populations(),
+        st.integers(0, 2**31 - 1),
+        st.floats(0.001, 0.2),
+        st.floats(500.0, 1e6),
+        st.floats(0.0, 6.283),
+    )
+    def test_sinusoidal_modulation_bit_identical_to_event(
+        self, rings, seed, amplitude, period_ps, phase
+    ):
+        modulation = SinusoidalModulation(amplitude, period_ps, phase)
+        seeds = [seed + index for index in range(len(rings))]
+        specs = [
+            IROBatchSpec.from_ring(ring, edge_count=21, seed=ring_seed)
+            for ring, ring_seed in zip(rings, seeds)
+        ]
+        batch = simulate_iro_batch(specs, modulation=modulation)
+        for ring, ring_seed, trace in zip(rings, seeds, batch.traces):
+            np.testing.assert_array_equal(
+                trace.times_ps, full_event_times(ring, 21, ring_seed, modulation)
             )
 
     @settings(max_examples=20, deadline=None)
@@ -114,7 +141,7 @@ class TestSTREquivalence:
         replica_seeds = [seed + replica for replica in range(4)]
         event_periods = np.concatenate(
             [
-                noisy.simulate(200, seed=s, warmup_periods=16).trace.periods_ps()
+                noisy.simulate_reference(200, seed=s, warmup_periods=16).trace.periods_ps()
                 for s in replica_seeds
             ]
         )

@@ -7,7 +7,13 @@ import pytest
 from repro.core.campaign import RingSpec
 from repro.faults.base import FaultSchedule, ScheduledFault
 from repro.faults.library import GlitchBurstFault, StuckStageFault, VoltageBrownoutFault
-from repro.serve.pool import ChannelState, PoolConfig, PoolExhaustedError, TrngPool
+from repro.serve.pool import (
+    LEDGER_CAPACITY,
+    ChannelState,
+    PoolConfig,
+    PoolExhaustedError,
+    TrngPool,
+)
 from repro.trng.supervisor import BackoffSchedule, EventLog
 
 IRO5 = RingSpec("iro", 5)
@@ -224,3 +230,40 @@ def test_get_bytes_rejects_nonpositive_count():
     pool = TrngPool([IRO5], seed=4)
     with pytest.raises(ValueError):
         pool.get_bytes(0)
+
+
+def test_ledger_is_bounded_and_counter_matches_untrimmed_scan(monkeypatch):
+    """The ledger keeps the newest entries; the unhealthy count keeps all."""
+    import repro.serve.pool as pool_module
+
+    def serve_past_capacity():
+        pool = TrngPool([IRO5, STR48], config=PoolConfig(block_bits=64), seed=5)
+        # Synthetic unhealthy emissions at the very start: the bounded
+        # ledger evicts them, the running count must not forget them.
+        for _ in range(3):
+            pool._record(pool.channels[0], "serve", "glitch", alarms=1, emitted=True)
+        pool.inject(GlitchBurstFault(0.6, burst_period_s=0.05, burst_duty=0.5, local=True))
+        served = 0
+        for _ in range(2000):  # bounded: exhausted calls only tick the clock
+            if served >= (LEDGER_CAPACITY + 600) * 8:
+                break
+            try:
+                served += len(pool.get_bytes(1024))
+            except PoolExhaustedError:
+                pass
+        return pool
+
+    bounded = serve_past_capacity()
+    monkeypatch.setattr(pool_module, "LEDGER_CAPACITY", None)
+    untrimmed = serve_past_capacity()
+
+    assert len(bounded.ledger) == LEDGER_CAPACITY
+    assert len(untrimmed.ledger) > LEDGER_CAPACITY
+    assert list(bounded.ledger) == list(untrimmed.ledger)[-LEDGER_CAPACITY:]
+    assert bounded.ledger[-1].index == len(untrimmed.ledger) - 1
+    scan = sum(1 for e in untrimmed.ledger if e.emitted and e.alarm_count > 0)
+    assert scan == 3
+    assert bounded.unhealthy_emitted_blocks() == scan
+    assert bounded.status()["unhealthy_emitted_blocks"] == scan
+    # The glitch did trip the health gate on some blocks, none emitted.
+    assert any(e.alarm_count > 0 and not e.emitted for e in untrimmed.ledger)

@@ -1,7 +1,8 @@
 """The vectorized batch simulation kernel vs the per-event oracle.
 
-The event engine (``repro.simulation.engine``) is the bit-exact
-reference; these tests pin the batch kernel to it the same way
+The event engine (``repro.simulation.engine``), reached through the
+rings' ``simulate_reference`` entry points, is the bit-exact reference;
+these tests pin the batch kernel to it the same way
 ``tests/parallel/test_parallel_identity.py`` pins the process-pool
 paths to the serial ones.
 """
@@ -13,16 +14,20 @@ from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.batch import (
-    BatchUnsupported,
     IROBatchSpec,
     STRBatchSpec,
     _parity_plan,
     _simulate_str_waves,
-    modulation_is_batchable,
     simulate_iro_batch,
     simulate_str_batch,
 )
-from repro.simulation.noise import ConstantModulation, SinusoidalModulation
+from repro.simulation.noise import (
+    CompositeModulation,
+    ConstantModulation,
+    RampModulation,
+    SinusoidalModulation,
+    StepModulation,
+)
 from repro.telemetry import default_registry
 
 
@@ -42,7 +47,9 @@ def event_trace(ring, edge_count, seed, modulation=None):
     """Full (warmup-inclusive) event-engine trace with ``edge_count`` edges."""
     # edge_count = 2 * (period_count + warmup) + 1 with warmup = 0.
     period_count = (edge_count - 1) // 2
-    result = ring.simulate(period_count, seed=seed, modulation=modulation, warmup_periods=0)
+    result = ring.simulate_reference(
+        period_count, seed=seed, modulation=modulation, warmup_periods=0
+    )
     return result.warmup_trace.times_ps[:edge_count]
 
 
@@ -80,12 +87,37 @@ class TestIROKernel:
         together = simulate_iro_batch([spec_b, spec_a]).traces[1].times_ps
         np.testing.assert_array_equal(alone, together)
 
-    def test_time_varying_modulation_rejected(self):
-        spec = IROBatchSpec.from_ring(make_iro(), edge_count=11, seed=0)
+    @pytest.mark.parametrize(
+        "modulation",
+        [
+            SinusoidalModulation(0.05, 5000.0),
+            StepModulation(3000.0, 0.04),
+            RampModulation(1e-6, 500.0),
+            CompositeModulation(
+                [SinusoidalModulation(0.02, 7000.0, 0.3), RampModulation(2e-7)]
+            ),
+        ],
+        ids=["sine", "step", "ramp", "composite"],
+    )
+    def test_time_varying_modulation_bit_identical(self, modulation):
+        ring = make_iro(5)
+        spec = IROBatchSpec.from_ring(ring, edge_count=41, seed=4)
+        batch = simulate_iro_batch([spec], modulation=modulation)
+        expected = event_trace(ring, 41, seed=4, modulation=modulation)
+        np.testing.assert_array_equal(batch.traces[0].times_ps, expected)
+
+    def test_time_varying_modulation_composition_independent(self):
+        # Rings of different lengths and edge counts share the hop loop.
         modulation = SinusoidalModulation(0.05, 5000.0)
-        assert not modulation_is_batchable(modulation, "iro")
-        with pytest.raises(BatchUnsupported):
-            simulate_iro_batch([spec], modulation=modulation)
+        rings = [make_iro(stages, seed=stages) for stages in (3, 7, 12)]
+        specs = [
+            IROBatchSpec.from_ring(ring, edge_count=count, seed=stages)
+            for ring, count, stages in zip(rings, (21, 9, 15), (3, 7, 12))
+        ]
+        batch = simulate_iro_batch(specs, modulation=modulation)
+        for ring, spec, trace in zip(rings, specs, batch.traces):
+            expected = event_trace(ring, spec.edge_count, seed=spec.seed, modulation=modulation)
+            np.testing.assert_array_equal(trace.times_ps, expected)
 
     def test_empty_batch(self):
         result = simulate_iro_batch([])
@@ -113,7 +145,6 @@ class TestSTRKernel:
     def test_noiseless_with_modulation_bit_identical(self):
         ring = make_str(8, sigma=0.0)
         modulation = SinusoidalModulation(0.05, 8000.0)
-        assert modulation_is_batchable(modulation, "str")
         spec = STRBatchSpec.from_ring(ring, edge_count=31, seed=2)
         batch = simulate_str_batch([spec], modulation=modulation)
         expected = event_trace(ring, 31, seed=2, modulation=modulation)
@@ -121,7 +152,7 @@ class TestSTRKernel:
 
     def test_noisy_statistics_match_event_engine(self):
         ring = make_str(16, sigma=2.0)
-        result_event = ring.simulate(600, seed=11, warmup_periods=32)
+        result_event = ring.simulate_reference(600, seed=11, warmup_periods=32)
         spec = STRBatchSpec.from_ring(ring, edge_count=2 * 632 + 1, seed=11)
         trace_batch = simulate_str_batch([spec]).traces[0].skip_edges(64)
         # Different draw order => different realization, same process.

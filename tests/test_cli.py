@@ -50,40 +50,39 @@ class TestCommands:
         assert "[FIG4]" in output and "[FIG7]" in output
 
     def test_run_backend_flag(self, capsys):
-        # FIG11 defaults to the batch backend; forcing either backend
-        # through the CLI must succeed and report passing checks.
-        assert main(["run", "FIG11", "--backend", "batch"]) == 0
-        assert "FIG11" in capsys.readouterr().out
+        # One simulation engine: the old --backend flag is a usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "FIG11", "--backend", "batch"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_run_backend_rejects_unknown_value(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "FIG11", "--backend", "gpu"])
 
     def test_campaign_backend_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "iro:3",
-                    "--periods",
-                    "256",
-                    "--boards",
-                    "2",
-                    "--backend",
-                    "batch",
-                ]
-            )
-            == 0
-        )
-        assert "IRO" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "iro:3", "--periods", "256", "--backend", "batch"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
-    def test_campaign_backend_matches_event_rows_for_iro(self, capsys):
-        args = ["campaign", "iro:3", "--periods", "256", "--boards", "2", "--json"]
-        assert main(args + ["--backend", "event"]) == 0
-        event = json.loads(capsys.readouterr().out)
-        assert main(args + ["--backend", "batch"]) == 0
-        batch = json.loads(capsys.readouterr().out)
-        assert batch == event
+    def test_campaign_backend_matches_event_rows_for_iro(self, capsys, monkeypatch):
+        # The campaign's IRO rows are bit-identical to a run whose segments
+        # go through the per-event oracle instead of the batch kernel.
+        from repro.rings.iro import InverterRingOscillator
+
+        args = [
+            "campaign", "iro:3", "--periods", "256", "--boards", "2", "--json",
+            "--no-cache",
+        ]
+        assert main(args) == 0
+        kernel = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(
+            InverterRingOscillator, "simulate", InverterRingOscillator.simulate_reference
+        )
+        assert main(args) == 0
+        oracle = json.loads(capsys.readouterr().out)
+        assert kernel == oracle
 
     def test_run_unknown_id(self):
         with pytest.raises(KeyError):
@@ -681,12 +680,18 @@ class TestShardingCli:
         assert "--shard-dir" in capsys.readouterr().err
 
     def test_shard_rejects_batch_backend(self, capsys, tmp_path):
-        rc = main(
-            self.CAMPAIGN
-            + ["--backend", "batch", "--shard", "0/2", "--shard-dir", str(tmp_path / "s")]
-        )
-        assert rc == 2
-        assert "event backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                self.CAMPAIGN
+                + ["--backend", "batch", "--shard", "0/2", "--shard-dir", str(tmp_path / "s")]
+            )
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_shard_runs_without_backend_flag(self, capsys, tmp_path):
+        rc = main(self.CAMPAIGN + ["--shard", "0/2", "--shard-dir", str(tmp_path / "s")])
+        assert rc == 0
+        assert "shard 0/2 complete" in capsys.readouterr().out
 
     def test_merge_missing_shard(self, capsys, tmp_path):
         assert main(self.CAMPAIGN + ["--shard", "0/2", "--shard-dir", str(tmp_path / "s0")]) == 0
