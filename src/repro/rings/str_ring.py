@@ -263,7 +263,6 @@ class SelfTimedRing(RingOscillator):
         jitter.
         """
         edge_count = edge_budget(period_count, warmup_periods)
-        self._check_stage(output_stage)
         spec = STRBatchSpec.from_ring(
             self, edge_count=edge_count, seed=seed, output_stage=output_stage
         )
@@ -309,7 +308,8 @@ class SelfTimedRing(RingOscillator):
     ) -> SimulationResult:
         """:meth:`simulate` on the per-event engine: the kernel's test oracle."""
         edge_count = edge_budget(period_count, warmup_periods)
-        self._check_stage(output_stage)
+        if not (0 <= output_stage < self.stage_count):
+            raise ValueError(f"output stage {output_stage} outside ring of {self.stage_count}")
         traces, events = self._run_reference(edge_count, seed, modulation, [output_stage])
         return SimulationResult.from_full_trace(traces[0], warmup_periods, events)
 
@@ -361,10 +361,6 @@ class SelfTimedRing(RingOscillator):
                 f"final state {''.join(str(v) for v in process.state_snapshot())}"
             )
         return traces, simulator.events_processed
-
-    def _check_stage(self, stage: int) -> None:
-        if not (0 <= stage < self.stage_count):
-            raise ValueError(f"output stage {stage} outside ring of {self.stage_count}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -58,7 +58,7 @@ performance choice.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -530,6 +530,39 @@ def _noise_by_class(
     return out
 
 
+class _FiringClass(NamedTuple):
+    """One firing class of the parity kernel, fixed for the whole run.
+
+    ``neighbours`` / ``halves`` are (2, n) scratch planes so one gather
+    fills both input rows and one scale halves both the sum and the
+    difference; ``forward``/``reverse`` and ``mean``/``shifted`` are
+    their row views.
+    """
+
+    positions: np.ndarray  # flat stage positions that fire together
+    neighbour_index: np.ndarray  # (2, n): predecessor / successor positions
+    neighbours: np.ndarray
+    forward: np.ndarray
+    reverse: np.ndarray
+    halves: np.ndarray
+    mean: np.ndarray
+    shifted: np.ndarray
+    static: np.ndarray
+    offsets: np.ndarray
+    charlie: np.ndarray
+    weights: np.ndarray
+    draft_amp: np.ndarray
+    draft_tau: np.ndarray
+    draft_positive: np.ndarray
+    noise: np.ndarray  # (budget, n): row k holds the k-th firing's draws
+    out_local: np.ndarray  # where the class's output stages sit in positions
+    out_edges: np.ndarray  # (edge, ring with its output stage in the class)
+    history: np.ndarray  # (edge, n) when every stage records, else empty
+    delay: np.ndarray
+    fire_time: np.ndarray
+    tmp: np.ndarray
+
+
 def _simulate_str_parity(
     specs: Sequence[STRBatchSpec],
     modulation: Optional[DeterministicModulation],
@@ -581,43 +614,37 @@ def _simulate_str_parity(
         # Both firing classes need ``edge_budget`` firings each.
         total_waves = 2 * edge_budget
 
-    # Per firing class, fixed for the whole run: firing positions, their
-    # neighbours and parameter slices, the class's noise columns (row k
-    # holds the k-th firing's draws), the positions of the output stages
-    # it holds, its recorded times, and scratch buffers.
-    classes, out_rows, out_edges, histories = [], [], [], []
+    classes, out_rows = [], []
     for phase in (0, 1):
         p = np.flatnonzero(np.concatenate([plan if phase == 0 else ~plan for plan in plans]))
         out_rows.append(np.flatnonzero(out_parity == phase))
-        out_edges.append(np.zeros((edge_budget, out_rows[phase].size)))
-        histories.append(np.zeros((edge_budget if all_stages else 0, p.size)))
-        # One gather fills both neighbour rows (forward, reverse); one
-        # scale halves both the sum and the difference rows.
         neighbours = np.empty((2, p.size))
         halves = np.empty((2, p.size))
         classes.append(
-            (
-                p,
-                np.stack([pred.take(p), succ.take(p)]),
-                neighbours,
-                neighbours[0],
-                neighbours[1],
-                halves,
-                halves[0],
-                halves[1],
-                static_d.take(p),
-                offsets.take(p),
-                charlie.take(p),
-                weights.take(p),
-                draft_amp.take(p),
-                draft_tau.take(p),
-                draft_amp.take(p) > 0.0,
-                noise[phase],
-                np.searchsorted(p, out_global[out_rows[phase]]),
-                out_edges[phase],
-                histories[phase],
+            _FiringClass(
+                positions=p,
+                neighbour_index=np.stack([pred.take(p), succ.take(p)]),
+                neighbours=neighbours,
+                forward=neighbours[0],
+                reverse=neighbours[1],
+                halves=halves,
+                mean=halves[0],
+                shifted=halves[1],
+                static=static_d.take(p),
+                offsets=offsets.take(p),
+                charlie=charlie.take(p),
+                weights=weights.take(p),
+                draft_amp=draft_amp.take(p),
+                draft_tau=draft_tau.take(p),
+                draft_positive=draft_amp.take(p) > 0.0,
+                noise=noise[phase],
+                out_local=np.searchsorted(p, out_global[out_rows[phase]]),
+                out_edges=np.zeros((edge_budget, out_rows[phase].size)),
+                history=np.zeros((edge_budget if all_stages else 0, p.size)),
+                delay=np.empty(p.size),
+                fire_time=np.empty(p.size),
+                tmp=np.empty(p.size),
             )
-            + tuple(np.empty(p.size) for _ in range(3))
         )
 
     total_events = 0
@@ -625,13 +652,13 @@ def _simulate_str_parity(
         for wave in range(total_waves):
             k = wave >> 1
             (
-                p, pre_suc, neighbours, f_t, r_t, halves, mean_t, shifted,
+                p, neighbour_index, neighbours, f_t, r_t, halves, mean_t, shifted,
                 static_p, offsets_p, charlie_p, weights_p, amp_p, tau_p,
                 amp_positive, noise_p, out_local, out_edges_p, history,
                 delay, fire_time, tmp,
-            ) = classes[wave & 1]
+            ) = classes[wave & 1]  # positional: cheaper than attributes per wave
 
-            last_time.take(pre_suc, out=neighbours)
+            last_time.take(neighbour_index, out=neighbours)
             np.add(f_t, r_t, out=mean_t)
             np.subtract(f_t, r_t, out=shifted)
             halves *= 0.5
@@ -681,10 +708,10 @@ def _simulate_str_parity(
     # initial value.
     edges_t = np.zeros((edge_budget, ring_count))
     stage_t = np.zeros((edge_budget, total)) if all_stages else None
-    for phase in (0, 1):
-        edges_t[:, out_rows[phase]] = out_edges[phase]
+    for rows, firing in zip(out_rows, classes):
+        edges_t[:, rows] = firing.out_edges
         if stage_t is not None:
-            stage_t[:, classes[phase][0]] = histories[phase]
+            stage_t[:, firing.positions] = firing.history
     traces = [
         EdgeTrace(
             edges_t[: spec.edge_count, row].copy(),
