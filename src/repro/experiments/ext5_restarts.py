@@ -34,6 +34,12 @@ from repro.fpga.board import Board
 from repro.rings.base import RingOscillator
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
+from repro.simulation.batch import (
+    IROBatchSpec,
+    STRBatchSpec,
+    simulate_iro_batch,
+    simulate_str_batch,
+)
 from repro.simulation.noise import SinusoidalModulation
 from repro.stats.fitting import fit_power_law
 
@@ -50,17 +56,26 @@ def _restart_spread(
     Returns (period indices, mean time, std time), using the rising-edge
     boundaries common to all restarts.
     """
-    edge_count = 2 * period_count
-    times = np.empty((restarts, period_count))
-    for restart in range(restarts):
-        result = ring.simulate(
-            period_count + 1,
-            seed=seed + restart,
-            warmup_periods=0,
+    # Every restart is one ring of a single kernel batch (restart r uses
+    # seed + r), exactly as separate ring.simulate calls would run it.
+    edge_count = 2 * (period_count + 1) + 1
+    if isinstance(ring, InverterRingOscillator):
+        traces = simulate_iro_batch(
+            [
+                IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=seed + restart)
+                for restart in range(restarts)
+            ],
             modulation=modulation,
-        )
-        boundary_times = result.warmup_trace.times_ps[:edge_count:2]
-        times[restart] = boundary_times[:period_count]
+        ).traces
+    else:
+        traces = simulate_str_batch(
+            [
+                STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=seed + restart)
+                for restart in range(restarts)
+            ],
+            modulation=modulation,
+        ).traces
+    times = np.array([trace.times_ps[: 2 * period_count : 2] for trace in traces])
     indices = np.arange(1, period_count + 1)
     return indices, times.mean(axis=0), times.std(axis=0)
 
