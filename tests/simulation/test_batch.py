@@ -171,6 +171,27 @@ class TestSTRKernel:
         together = simulate_str_batch([spec_b, spec_a]).traces[1].times_ps
         np.testing.assert_array_equal(alone, together)
 
+    @pytest.mark.parametrize(
+        "shape", [(8, 4, 16, 8), (7, 4, 9, 4)], ids=["parity-kernel", "general-kernel"]
+    )
+    def test_all_stages_composition_independent(self, shape):
+        # Recording every stage keeps each ring's result independent of
+        # the rings it shares a batch with, and its output-stage trace
+        # equal to the single-stage run's.
+        ring = make_str(shape[0], tokens=shape[1], sigma=2.0)
+        other = make_str(shape[2], tokens=shape[3], sigma=1.0)
+        spec = STRBatchSpec.from_ring(ring, edge_count=25, seed=3, output_stage=2)
+        other_spec = STRBatchSpec.from_ring(other, edge_count=13, seed=4)
+        alone = simulate_str_batch([spec], all_stages=True)
+        together = simulate_str_batch([other_spec, spec], all_stages=True)
+        assert [len(t) for t in alone.stage_traces[0]] == [25] * ring.stage_count
+        for a, b in zip(alone.stage_traces[0], together.stage_traces[1]):
+            np.testing.assert_array_equal(a.times_ps, b.times_ps)
+            assert a.first_value == b.first_value
+        single = simulate_str_batch([spec]).traces[0]
+        np.testing.assert_array_equal(alone.traces[0].times_ps, single.times_ps)
+        assert alone.traces[0].first_value == single.first_value
+
     def test_output_stage_selects_other_node(self):
         ring = make_str(8, sigma=0.0)
         spec0 = STRBatchSpec.from_ring(ring, edge_count=21, seed=0, output_stage=0)
