@@ -300,7 +300,8 @@ def _iro_hop_loop(
     pass.  Stepping hop by hop along a (hop, ring) plane repeats the
     event process's float operations in its order, so the times stay
     bit-exact; rings shorter than the longest are padded with unit
-    delays whose times are dropped.
+    delays whose times are dropped.  A lone ring takes the scalar loop
+    of :func:`_iro_hops_one_ring` instead.
     """
     if len(specs) == 1:
         return [_iro_hops_one_ring(specs[0], modulation)]
