@@ -22,8 +22,8 @@ or as one array, and ``cumsum`` accumulates in the same order as the
 event loop, the kernel is **bit-exact** against the event engine for the
 same seed (the identity the kernel-vs-oracle tests pin down).  Under a
 time-varying modulation hop ``k``'s delay depends on ``t_{k-1}``, so the
-kernel steps hop by hop instead, vectorized across the rings of the
-batch — still the event process's float operations in its order.
+kernel steps each ring hop by hop instead — still the event process's
+float operations in its order.
 
 **STR** (:func:`simulate_str_batch`).  A self-timed ring is a marked
 graph: stage ``i`` fires when it holds a token (``C_i != C_{i-1}``) and
@@ -58,7 +58,7 @@ performance choice.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -291,51 +291,16 @@ def _iro_cumsum(
 
 
 def _iro_hop_loop(
-    specs: Sequence[IROBatchSpec], modulation: DeterministicModulation
-) -> List[np.ndarray]:
-    """Hop arrival times under a time-varying modulation, all rings at once.
+    spec: IROBatchSpec, modulation: DeterministicModulation
+) -> np.ndarray:
+    """Hop arrival times of one ring under a time-varying modulation.
 
     The event process scales hop ``k``'s delay by the modulation at the
     instant hop ``k - 1`` arrived, so the hops cannot be summed in one
-    pass.  Stepping hop by hop along a (hop, ring) plane repeats the
-    event process's float operations in its order, so the times stay
-    bit-exact; rings shorter than the longest are padded with unit
-    delays whose times are dropped.  A lone ring takes the scalar loop
-    of :func:`_iro_hops_one_ring` instead.
-    """
-    if len(specs) == 1:
-        return [_iro_hops_one_ring(specs[0], modulation)]
-    hop_counts = [spec.edge_count * spec.stage_count for spec in specs]
-    plane = (max(hop_counts), len(specs))
-    base = np.ones(plane)
-    weights = np.zeros(plane)
-    noise = np.zeros(plane)
-    for column, (spec, hops) in enumerate(zip(specs, hop_counts)):
-        base[:hops, column] = np.tile(spec.stage_delays_ps, spec.edge_count)
-        weights[:hops, column] = np.tile(spec.supply_weights, spec.edge_count)
-        noise[:hops, column] = _iro_noise(spec, hops, make_rng(spec.seed))
-    times = np.empty(plane)
-    now = np.zeros(len(specs))
-    for hop in range(plane[0]):
-        delay = weights[hop] * modulation.factor_array(now)
-        delay += 1.0
-        delay *= base[hop]
-        delay += noise[hop]
-        np.maximum(delay, _CAUSALITY_GUARD_PS, where=delay <= 0.0, out=delay)
-        now = now + delay
-        times[hop] = now
-    return [times[:hops, column] for column, hops in enumerate(hop_counts)]
-
-
-def _iro_hops_one_ring(
-    spec: IROBatchSpec, modulation: DeterministicModulation
-) -> np.ndarray:
-    """:func:`_iro_hop_loop` for a lone ring, stepped on Python floats.
-
-    With one ring per step numpy's per-call overhead dominates; the
-    scalar loop runs the same double-precision operations, through
+    pass.  Stepping hop by hop on Python floats repeats the event
+    process's double-precision operations in its order, through
     ``modulation.factor`` (which every modulation keeps bit-identical to
-    ``factor_array``), about ten times faster.
+    ``factor_array``), so the times stay bit-exact.
     """
     hop_count = spec.edge_count * spec.stage_count
     steps = zip(
@@ -365,7 +330,7 @@ def simulate_iro_batch(
     (:meth:`~repro.rings.iro.InverterRingOscillator.simulate_reference`)
     for the same per-ring seed.  Without a modulation, or with a
     :class:`ConstantModulation`, each ring is one ``cumsum``; any other
-    modulation runs the hop-by-hop loop of :func:`_iro_hop_loop`.
+    modulation steps each ring hop by hop (:func:`_iro_hop_loop`).
     """
     specs = list(specs)
     if not specs:
@@ -374,7 +339,7 @@ def simulate_iro_batch(
         if modulation is None or isinstance(modulation, ConstantModulation):
             hop_times = [_iro_cumsum(spec, modulation) for spec in specs]
         else:
-            hop_times = _iro_hop_loop(specs, modulation)
+            hop_times = [_iro_hop_loop(spec, modulation) for spec in specs]
         # The observed node is the last stage: one edge per lap.
         traces = [
             EdgeTrace(times[spec.stage_count - 1 :: spec.stage_count], first_value=1)
@@ -505,63 +470,24 @@ def _parity_plan(specs: Sequence[STRBatchSpec]) -> Optional[List[np.ndarray]]:
     return plans
 
 
-def _noise_by_class(
-    specs: Sequence[STRBatchSpec], budget: int, plans: Sequence[np.ndarray]
-) -> List[np.ndarray]:
-    """Pre-drawn jitter of the parity kernel, one array per firing class.
+def _noise_flat(
+    specs: Sequence[STRBatchSpec], budget: int, bases: np.ndarray
+) -> np.ndarray:
+    """Pre-drawn jitter in flat layout: ``[n, base_r + stage]``.
 
-    ``[n, j]`` is the n-th firing's draw of the class's j-th stage (rings
-    in order, stages ascending).  Draw-for-draw identical to
-    :func:`_noise_tensor` for the same seeds and firing indices (each
-    ring's block is drawn row-major), so the parity and general kernels
-    consume the very same values.
+    Draw-for-draw identical to :func:`_noise_tensor` for the same seeds
+    and firing indices (both fill each ring's block row-major), so the
+    parity and general kernels consume the very same values.
     """
-    masks = [list(plans), [~plan for plan in plans]]
-    out = [np.zeros((budget, int(sum(m.sum() for m in ring_masks)))) for ring_masks in masks]
-    starts = [0, 0]
-    for row, spec in enumerate(specs):
-        widths = [int(masks[phase][row].sum()) for phase in (0, 1)]
-        if not np.all(spec.jitter_sigmas_ps == 0.0):
-            block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
-            block *= spec.jitter_sigmas_ps[np.newaxis, :]
-            for phase in (0, 1):
-                columns = slice(starts[phase], starts[phase] + widths[phase])
-                out[phase][:, columns] = block[:, masks[phase][row]]
-        starts = [start + width for start, width in zip(starts, widths)]
-    return out
-
-
-class _FiringClass(NamedTuple):
-    """One firing class of the parity kernel, fixed for the whole run.
-
-    ``neighbours`` / ``halves`` are (2, n) scratch planes so one gather
-    fills both input rows and one scale halves both the sum and the
-    difference; ``forward``/``reverse`` and ``mean``/``shifted`` are
-    their row views.
-    """
-
-    positions: np.ndarray  # flat stage positions that fire together
-    neighbour_index: np.ndarray  # (2, n): predecessor / successor positions
-    neighbours: np.ndarray
-    forward: np.ndarray
-    reverse: np.ndarray
-    halves: np.ndarray
-    mean: np.ndarray
-    shifted: np.ndarray
-    static: np.ndarray
-    offsets: np.ndarray
-    charlie: np.ndarray
-    weights: np.ndarray
-    draft_amp: np.ndarray
-    draft_tau: np.ndarray
-    draft_positive: np.ndarray
-    noise: np.ndarray  # (budget, n): row k holds the k-th firing's draws
-    out_local: np.ndarray  # where the class's output stages sit in positions
-    out_edges: np.ndarray  # (edge, ring with its output stage in the class)
-    history: np.ndarray  # (edge, n) when every stage records, else empty
-    delay: np.ndarray
-    fire_time: np.ndarray
-    tmp: np.ndarray
+    total = int(bases[-1]) + specs[-1].stage_count
+    noise = np.zeros((budget, total))
+    for spec, base in zip(specs, bases):
+        if np.all(spec.jitter_sigmas_ps == 0.0):
+            continue
+        block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
+        block *= spec.jitter_sigmas_ps[np.newaxis, :]
+        noise[:, base : base + spec.stage_count] = block
+    return noise
 
 
 def _simulate_str_parity(
@@ -575,7 +501,7 @@ def _simulate_str_parity(
     All rings' stages are packed into one flat vector (no padding), and
     because the firing sets are known a priori there is no per-wave
     enabled-mask computation, no done bookkeeping, and the noise row for
-    firing index ``k`` is just row ``k`` of its class's pre-drawn matrix.  Every
+    firing index ``k`` is just row ``k`` of the pre-drawn matrix.  Every
     float operation mirrors :func:`_simulate_str_waves` exactly.
     """
     ring_count = len(specs)
@@ -587,6 +513,7 @@ def _simulate_str_parity(
     def packed(attr: str) -> np.ndarray:
         return np.concatenate([np.asarray(getattr(s, attr)) for s in specs])
 
+    state = packed("initial_state").astype(np.int8)
     static_d = packed("static_delays_ps")
     offsets = packed("separation_offsets_ps")
     charlie = packed("charlie_ps")
@@ -608,93 +535,107 @@ def _simulate_str_parity(
         [0 if plan[spec.output_stage] else 1 for spec, plan in zip(specs, plans)],
         dtype=np.intp,
     )
-    edge_budget = int(edge_counts.max())
-    noise = _noise_by_class(specs, edge_budget + 4, plans)
-    total_waves = int((2 * (edge_counts - 1) + out_parity).max()) + 1
-    if all_stages:
-        # Both firing classes need ``edge_budget`` firings each.
-        total_waves = 2 * edge_budget
+    budget = int(edge_counts.max()) + 4
+    noise = _noise_flat(specs, budget, bases)
 
-    classes, out_rows = [], []
+    # Per-parity structure, fixed for the whole run: firing positions,
+    # their neighbours, and their parameter slices (gathered once).
+    pos, pre, suc, par = [], [], [], []
     for phase in (0, 1):
-        p = np.flatnonzero(np.concatenate([plan if phase == 0 else ~plan for plan in plans]))
-        out_rows.append(np.flatnonzero(out_parity == phase))
-        neighbours = np.empty((2, p.size))
-        halves = np.empty((2, p.size))
-        classes.append(
-            _FiringClass(
-                positions=p,
-                neighbour_index=np.stack([pred.take(p), succ.take(p)]),
-                neighbours=neighbours,
-                forward=neighbours[0],
-                reverse=neighbours[1],
-                halves=halves,
-                mean=halves[0],
-                shifted=halves[1],
-                static=static_d.take(p),
-                offsets=offsets.take(p),
-                charlie=charlie.take(p),
-                weights=weights.take(p),
-                draft_amp=draft_amp.take(p),
-                draft_tau=draft_tau.take(p),
-                draft_positive=draft_amp.take(p) > 0.0,
-                noise=noise[phase],
-                out_local=np.searchsorted(p, out_global[out_rows[phase]]),
-                out_edges=np.zeros((edge_budget, out_rows[phase].size)),
-                history=np.zeros((edge_budget if all_stages else 0, p.size)),
-                delay=np.empty(p.size),
-                fire_time=np.empty(p.size),
-                tmp=np.empty(p.size),
-            )
+        mask = np.concatenate(
+            [plan if phase == 0 else ~plan for plan in plans]
         )
+        p = np.flatnonzero(mask)
+        pos.append(p)
+        pre.append(pred.take(p))
+        suc.append(succ.take(p))
+        par.append(
+            {
+                "static": static_d.take(p),
+                "offsets": offsets.take(p),
+                "charlie": charlie.take(p),
+                "weights": weights.take(p),
+                "amp": draft_amp.take(p),
+                "tau": draft_tau.take(p),
+                "amp_positive": draft_amp.take(p) > 0.0,
+            }
+        )
+    out_pos = [out_global[out_parity == phase] for phase in (0, 1)]
+    out_rings = [np.flatnonzero(out_parity == phase) for phase in (0, 1)]
+
+    edge_budget = int(edge_counts.max())
+    edges_t = np.zeros((edge_budget, ring_count))
+    first_values = np.full(ring_count, -1, dtype=np.int8)
+    total_waves = int((2 * (edge_counts - 1) + out_parity).max()) + 1
+    stage_t = None
+    if all_stages:
+        # Both firing classes need ``edge_budget`` firings each;
+        # stage_t[k, position] is that stage's k-th firing time.
+        total_waves = 2 * edge_budget
+        stage_t = np.zeros((edge_budget, total))
+
+    bufs = [
+        {name: np.empty(pos[phase].size) for name in ("f", "r", "mean", "shift", "delay", "fire", "tmp", "z")}
+        for phase in (0, 1)
+    ]
 
     total_events = 0
     with span("batch_simulate", family="str", rings=ring_count, kernel="parity") as tele:
         for wave in range(total_waves):
+            phase = wave & 1
             k = wave >> 1
-            (
-                p, neighbour_index, neighbours, f_t, r_t, halves, mean_t, shifted,
-                static_p, offsets_p, charlie_p, weights_p, amp_p, tau_p,
-                amp_positive, noise_p, out_local, out_edges_p, history,
-                delay, fire_time, tmp,
-            ) = classes[wave & 1]  # positional: cheaper than attributes per wave
+            p = pos[phase]
+            prm = par[phase]
+            b = bufs[phase]
+            f_t, r_t = b["f"], b["r"]
+            mean_t, shifted, delay = b["mean"], b["shift"], b["delay"]
+            fire_time, tmp = b["fire"], b["tmp"]
 
-            last_time.take(neighbour_index, out=neighbours)
+            last_time.take(pre[phase], out=f_t)
+            last_time.take(suc[phase], out=r_t)
             np.add(f_t, r_t, out=mean_t)
+            mean_t *= 0.5
             np.subtract(f_t, r_t, out=shifted)
-            halves *= 0.5
-            shifted -= offsets_p
-            np.hypot(charlie_p, shifted, out=delay)
-            delay += static_p
+            shifted *= 0.5
+            shifted -= prm["offsets"]
+            np.hypot(prm["charlie"], shifted, out=delay)
+            delay += prm["static"]
             if drafting_active:
                 np.add(mean_t, delay, out=tmp)
                 tmp -= last_time.take(p)
                 draft_mask = tmp > 0.0
-                draft_mask &= amp_positive
+                draft_mask &= prm["amp_positive"]
                 np.maximum(tmp, 0.0, out=tmp)
                 np.negative(tmp, out=tmp)
-                tmp /= tau_p
+                tmp /= prm["tau"]
                 np.exp(tmp, out=tmp)
-                tmp *= amp_p
+                tmp *= prm["amp"]
                 tmp *= draft_mask
                 delay -= tmp
             floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
             if modulation is not None:
                 factor = modulation.factor_array(floor_t)
-                factor *= weights_p
+                factor *= prm["weights"]
                 factor += 1.0
                 delay *= factor
-            delay += noise_p[k]
+            noise[k].take(p, out=b["z"])
+            delay += b["z"]
 
             np.add(mean_t, delay, out=fire_time)
             np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
             np.copyto(fire_time, tmp, where=fire_time <= floor_t)
 
+            state.put(p, state.take(pre[phase]))
             last_time.put(p, fire_time)
             total_events += p.size
-            fire_time.take(out_local, out=out_edges_p[k])
-            if all_stages:
-                history[k] = fire_time
+            if stage_t is not None:
+                stage_t[k, p] = fire_time
+
+            rec = out_pos[phase]
+            if rec.size:
+                edges_t[k, out_rings[phase]] = last_time.take(rec)
+                if k == 0:
+                    first_values[out_rings[phase]] = state.take(rec)
 
         tele.set("events", total_events)
         tele.set("waves", total_waves)
@@ -704,27 +645,17 @@ def _simulate_str_parity(
         registry.counter("repro.batch.events").inc(total_events)
         registry.counter("repro.batch.waves").inc(total_waves)
 
-    # Every firing flips a stage's output (it copies a predecessor that
-    # differs from it), so the first edge takes the opposite of the
-    # initial value.
-    edges_t = np.zeros((edge_budget, ring_count))
-    stage_t = np.zeros((edge_budget, total)) if all_stages else None
-    for rows, firing in zip(out_rows, classes):
-        edges_t[:, rows] = firing.out_edges
-        if stage_t is not None:
-            stage_t[:, firing.positions] = firing.history
     traces = [
         EdgeTrace(
-            edges_t[: spec.edge_count, row].copy(),
-            first_value=1 - int(spec.initial_state[spec.output_stage]),
+            edges_t[: edge_counts[row], row].copy(),
+            first_value=int(first_values[row]) if first_values[row] >= 0 else 1,
         )
-        for row, spec in enumerate(specs)
+        for row in range(ring_count)
     ]
     stage_traces = None
     if stage_t is not None:
         stage_traces = _stage_traces(
-            specs,
-            [stage_t[:, base : base + n] for base, n in zip(bases, lengths)],
+            specs, [stage_t[:, base : base + n] for base, n in zip(bases, lengths)]
         )
     return BatchSimulationResult(
         traces=traces,

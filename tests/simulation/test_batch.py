@@ -107,7 +107,7 @@ class TestIROKernel:
         np.testing.assert_array_equal(batch.traces[0].times_ps, expected)
 
     def test_time_varying_modulation_composition_independent(self):
-        # Rings of different lengths and edge counts share the hop loop.
+        # Rings of different lengths and edge counts each stay bit-exact.
         modulation = SinusoidalModulation(0.05, 5000.0)
         rings = [make_iro(stages, seed=stages) for stages in (3, 7, 12)]
         specs = [
