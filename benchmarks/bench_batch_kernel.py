@@ -4,9 +4,8 @@ Two layers, mirroring ``bench_parallel_smoke.py``:
 
 * ``bench_batch_kernel`` is a tracked pytest-benchmark entry (see
   ``reference_timings.json``): one vectorized pass over a
-  population of IROs and STRs shaped like the Fig. 11/12 workloads —
-  one long run per IRO length, and per STR length the eight
-  seed-derived replicas that ``jitter_versus_length`` runs.
+  population of IROs and STRs sized like the Fig. 11/12 workloads —
+  one 2001-edge run per ring length.
 * ``test_kernel_speedup_over_oracle`` runs that same ~530k-event
   workload on the kernel and, ring by ring, on the per-event oracle
   (``simulate_reference``), checks that the two agree, and asserts the
@@ -32,42 +31,31 @@ from repro.simulation.batch import (
     simulate_str_batch,
 )
 
-#: Periods per IRO run (2001 recorded edges, no warm-up).
-_IRO_PERIODS = 1000
-#: STR lengths run as this many replicas of ``_IRO_PERIODS / replicas``
-#: periods each, as ``jitter_versus_length`` splits them (so the pass
-#: covers the same number of periods per length either way).
-_STR_REPLICAS = 8
-_STR_PERIODS = _IRO_PERIODS // _STR_REPLICAS
+#: Periods per ring (2001 recorded edges, no warm-up).
+_PERIODS = 1000
 
 
 def _workload_rings():
-    """(IRO, STR) lists of (ring, seed, periods) runs, ~530k events in all."""
+    """(IRO, STR) lists of (ring, seed) runs, ~530k events in all."""
     board = Board()
     iros = [
-        (InverterRingOscillator.on_board(board, length), index, _IRO_PERIODS)
+        (InverterRingOscillator.on_board(board, length), index)
         for index, length in enumerate((3, 9, 25, 60))
     ]
     strs = [
-        (SelfTimedRing.on_board(board, length), _STR_REPLICAS * index + replica, _STR_PERIODS)
+        (SelfTimedRing.on_board(board, length), index)
         for index, length in enumerate((8, 16, 48, 96))
-        for replica in range(_STR_REPLICAS)
     ]
     return iros, strs
 
 
 def _kernel_pass(iros, strs):
+    edge_count = 2 * _PERIODS + 1
     iro = simulate_iro_batch(
-        [
-            IROBatchSpec.from_ring(ring, edge_count=2 * periods + 1, seed=seed)
-            for ring, seed, periods in iros
-        ]
+        [IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=seed) for ring, seed in iros]
     )
     str_ = simulate_str_batch(
-        [
-            STRBatchSpec.from_ring(ring, edge_count=2 * periods + 1, seed=seed)
-            for ring, seed, periods in strs
-        ]
+        [STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=seed) for ring, seed in strs]
     )
     return iro, str_
 
@@ -93,8 +81,8 @@ def test_kernel_speedup_over_oracle():
         kernel_s = min(kernel_s, time.perf_counter() - start)
     start = time.perf_counter()
     oracle = [
-        ring.simulate_reference(periods, seed=seed, warmup_periods=0).warmup_trace
-        for ring, seed, periods in iros + strs
+        ring.simulate_reference(_PERIODS, seed=seed, warmup_periods=0).warmup_trace
+        for ring, seed in iros + strs
     ]
     oracle_s = time.perf_counter() - start
 
