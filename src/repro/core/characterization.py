@@ -234,7 +234,7 @@ class JitterMeasurementResult:
         return 1e6 / self.mean_period_ps
 
 
-def _jitter_from_trace(
+def jitter_from_trace(
     ring: RingOscillator,
     trace,
     method: str,
@@ -286,7 +286,7 @@ def measure_period_jitter(
         # the Charlie bottom); a generous warm-up keeps the start-up
         # transient out of the jitter statistics.
         result = ring.simulate(period_count, seed=seed, warmup_periods=warmup_periods)
-        return _jitter_from_trace(ring, result.trace, method, seed, divider)
+        return jitter_from_trace(ring, result.trace, method, seed, divider)
 
 
 #: Replica fan-out of the STR jitter campaign: one long run is split into
@@ -345,7 +345,7 @@ def jitter_versus_length(
             ]
             traces = simulate_iro_batch(specs).traces
             results = [
-                _jitter_from_trace(ring, trace.skip_edges(2 * warmup), method, point_seed)
+                jitter_from_trace(ring, trace.skip_edges(2 * warmup), method, point_seed)
                 for ring, trace, point_seed in zip(rings, traces, seeds)
             ]
         else:
@@ -377,7 +377,7 @@ def _str_jitter_rows(
     for index, (ring, point_seed) in enumerate(zip(rings, seeds)):
         own = traces[index * replicas : (index + 1) * replicas]
         if replicas == 1:
-            measurements.append(_jitter_from_trace(ring, own[0], method, point_seed))
+            measurements.append(jitter_from_trace(ring, own[0], method, point_seed))
             continue
         pooled = np.concatenate([trace.periods_ps() for trace in own])
         measurements.append(

@@ -34,8 +34,6 @@ import dataclasses
 import math
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from repro.core.charlie import CharlieDiagram
 from repro.units import period_ps_to_mhz
 
@@ -131,6 +129,7 @@ def solve_steady_state(
     SteadyState
         The solved operating point.
     """
+    from scipy.optimize import brentq
     validate_token_configuration(stage_count, token_count)
     rho = stage_count / (2.0 * token_count)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.characterization import measure_period_jitter
+from repro.core.characterization import jitter_from_trace
 from repro.experiments.base import ExperimentResult
 from repro.fpga.board import Board
 from repro.measurement.counters import RippleDivider
@@ -46,10 +46,10 @@ def run(
         (InverterRingOscillator.on_board(board, 5), iro_period_count),
         (SelfTimedRing.on_board(board, 96), str_period_count),
     ):
+        # One simulation per ring; the three instruments read the same trace.
+        trace = ring.simulate(period_count, seed=seed, warmup_periods=64).trace
         for method in ("population", "direct", "divider"):
-            result = measure_period_jitter(
-                ring, method=method, period_count=period_count, seed=seed, divider=divider
-            )
+            result = jitter_from_trace(ring, trace, method, seed, divider)
             readings[(ring.name, method)] = result.sigma_period_ps
             hypothesis = ""
             if result.divider_reading is not None:

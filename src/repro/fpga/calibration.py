@@ -35,7 +35,6 @@ import functools
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.fpga.device import TimingConstants
 from repro.fpga.placement import place_ring
@@ -216,6 +215,7 @@ def fit_confinement_from_table1(
     2. the normalized excursion fixes the penalty's voltage coefficient
        via a one-dimensional root find.
     """
+    from scipy.optimize import brentq
     lengths = []
     penalties = []
     betas = []

@@ -3,9 +3,9 @@
 The per-event engine (:mod:`repro.simulation.engine`) advances one
 transition at a time through a Python heap — faithful, but the pace is
 set by the interpreter, not the hardware.  This module advances
-*thousands of independent rings simultaneously* as 2-D numpy arrays
-(axis 0 = ring instance, axis 1 = stage), which is what the million-ring
-campaigns, PUF populations, and service-scale entropy workloads need.
+whole batches of independent rings with array passes over many firings
+at once, which is what the ring campaigns, replica fan-outs and long
+all-stage runs need.
 
 Two kernels, one per ring family:
 
@@ -43,12 +43,21 @@ when ``sigma = 0`` — and is statistically equivalent otherwise (the
 noise stream is consumed in a different, but per-ring deterministic,
 order; see docs/performance.md for the documented tolerance bounds).
 
+*Which* stages fire in a wave depends only on the state vector, never
+on timing.  The kernel therefore plans the firings before it runs: it
+iterates each ring's state symbolically until the state repeats, which
+gives a prefix of waves and a cycle that repeats forever (balanced even
+rings: no prefix, a 4-wave cycle).  The wave loop then only does the
+timing arithmetic on precomputed firing positions, reading its noise
+from and writing its fire times to one slice per wave of wave-ordered
+buffers.  Rings whose cycles have the same length share one loop.
+
 The STR kernel can also record every stage, not just one output stage
 (``all_stages=True``, what :meth:`SelfTimedRing.simulate_phases` reads).
 
-Rings of different lengths batch together: stage axes are padded to the
-longest ring and neighbours resolved through per-ring index maps, so a
-mixed FIG11/FIG12-style workload runs as one kernel invocation.
+Rings of different lengths batch together: all stages are packed into
+one flat vector with per-ring neighbour maps, so a mixed
+FIG11/FIG12-style workload runs as one kernel invocation.
 
 Every result depends only on the owning ring's spec and seed — never on
 which other rings share the batch — so batch composition is a pure
@@ -58,7 +67,7 @@ performance choice.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -357,25 +366,134 @@ def simulate_iro_batch(
 # ----------------------------------------------------------------------
 # STR kernel
 # ----------------------------------------------------------------------
-def _noise_tensor(
-    specs: Sequence[STRBatchSpec], budget: int, max_stages: int
-) -> np.ndarray:
-    """Pre-drawn jitter: ``[ring, n, stage]`` is the n-th firing's draw.
+def _ring_plan(spec: STRBatchSpec, row: int) -> Tuple[np.ndarray, int]:
+    """One ring's firing plan: ``(fires, prefix)``.
 
-    Drawing the whole tensor up front keeps the per-wave cost at one
-    gather instead of one Generator call per ring, and fixes a per-ring
-    consumption order (stage-major within each firing index) so results
-    are independent of batch composition.  All-zero-sigma rings skip
-    their draws entirely (their slab stays zero).
+    Which stages fire in a wave depends only on the state vector, never
+    on timing, so the wave iteration runs symbolically until a state
+    repeats.  ``fires[w]`` is wave ``w``'s firing mask; from wave
+    ``prefix`` on the masks repeat with period ``len(fires) - prefix``.
+    Firing moves a token without creating or destroying one, so only an
+    all-token or all-bubble state, and then from the start, deadlocks.
     """
-    noise = np.zeros((len(specs), budget, max_stages))
-    for row, spec in enumerate(specs):
-        if np.all(spec.jitter_sigmas_ps == 0.0):
-            continue
-        block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
-        block *= spec.jitter_sigmas_ps[np.newaxis, :]
-        noise[row, :, : spec.stage_count] = block
-    return noise
+    state = spec.initial_state
+    seen = {state.tobytes(): 0}
+    masks = []
+    while True:
+        pred = np.roll(state, 1)
+        enabled = (state != pred) & (np.roll(state, -1) == state)
+        if not enabled.any():
+            raise RuntimeError(
+                f"STR batch deadlocked: {spec.name}[{row}] has no token with a "
+                f"bubble ahead (state {''.join(str(int(v)) for v in state)})"
+            )
+        masks.append(enabled)
+        state = np.where(enabled, pred, state)
+        prefix = seen.setdefault(state.tobytes(), len(masks))
+        if prefix < len(masks):
+            return np.array(masks), prefix
+
+
+class _WavePlan:
+    """The firing plan of rings sharing one period, stages side by side.
+
+    ``fires[s]`` is step ``s``'s firing mask over the packed stage
+    columns and ``positions[s]`` its firing columns.  Steps from
+    ``prefix`` on repeat: wave ``w`` runs step ``w`` while ``w < prefix``,
+    then step ``prefix + (w - prefix) % period``.  A run stores its
+    firings in wave order.
+    """
+
+    def __init__(self, fires: np.ndarray, prefix: int) -> None:
+        steps = fires.shape[0]
+        self.fires = fires
+        self.positions = [np.flatnonzero(mask) for mask in fires]
+        self.prefix = prefix
+        self.period = steps - prefix
+        # Buffer offset of each step's first run, and of a firing within it.
+        self.starts = np.concatenate(([0], np.cumsum(fires.sum(axis=1))))
+        self.cycle_size = int(self.starts[-1] - self.starts[prefix])
+        self.rank = np.cumsum(fires, axis=1) - 1
+        # Each column's firing steps in order.  A state that repeats has
+        # fired every stage equally often (the ring is a marked graph),
+        # so every column fires ``per_cycle >= 1`` times per cycle.
+        self.fire_steps = np.sort(
+            np.where(fires, np.arange(steps)[:, np.newaxis], steps), axis=0
+        )
+        self.in_prefix = fires[:prefix].sum(axis=0)
+        self.per_cycle = fires[prefix:].sum(axis=0)
+
+    def _locate(self, n, cols):
+        """Step and cycle repeat of column ``cols``' ``n``-th firing (from 0)."""
+        in_prefix = self.in_prefix[cols]
+        per_cycle = self.per_cycle[cols]
+        late = n - in_prefix
+        repeat = np.where(late < 0, 0, late // per_cycle)
+        index = np.where(late < 0, n, in_prefix + late % per_cycle)
+        return self.fire_steps[index, cols], repeat
+
+    def wave(self, n, cols) -> np.ndarray:
+        """Wave in which column ``cols`` fires for the ``n``-th time."""
+        step, repeat = self._locate(n, cols)
+        return step + repeat * self.period
+
+    def slot(self, n, cols) -> np.ndarray:
+        """Wave-order index of column ``cols``' ``n``-th firing."""
+        step, repeat = self._locate(n, cols)
+        return self.starts[step] + repeat * self.cycle_size + self.rank[step, cols]
+
+    def firings(self, waves: int) -> np.ndarray:
+        """Per-column firing counts over the first ``waves`` waves."""
+        if waves <= self.prefix:
+            return self.fires[:waves].sum(axis=0)
+        repeats, rest = divmod(waves - self.prefix, self.period)
+        tail = self.fires[self.prefix : self.prefix + rest].sum(axis=0)
+        return self.in_prefix + repeats * self.per_cycle + tail
+
+    def in_wave_order(self, base: np.ndarray, stride: np.ndarray, waves: int) -> np.ndarray:
+        """``base[c] + k * stride[c]`` for every firing of the first
+        ``waves`` waves (column ``c``'s ``k``-th), in wave order."""
+        before = np.cumsum(self.fires, axis=0) - self.fires  # firings before step
+        runs = [
+            base[pos] + before[step, pos] * stride[pos]
+            for step, pos in enumerate(self.positions)
+        ]
+        head = int(self.starts[self.prefix])
+        repeats = max(0, -(-(waves - self.prefix) // self.period))
+        order = np.empty(head + repeats * self.cycle_size, dtype=np.intp)
+        if head:
+            order[:head] = np.concatenate(runs[: self.prefix])
+        # Each cycle repeat advances column c by per_cycle[c] firings.
+        tiled = order[head:].reshape(repeats, self.cycle_size)
+        cycle_cols = np.concatenate(self.positions[self.prefix :])
+        np.multiply(
+            np.arange(repeats)[:, np.newaxis],
+            (self.per_cycle * stride)[cycle_cols],
+            out=tiled,
+        )
+        tiled += np.concatenate(runs[self.prefix :])
+        return order[: int(self.firings(waves).sum())]
+
+
+class _Step(NamedTuple):
+    """One plan step: firing columns, their neighbours, parameters, scratch."""
+
+    pos: np.ndarray
+    pred: np.ndarray
+    succ: np.ndarray
+    static: np.ndarray
+    offsets: np.ndarray
+    charlie: np.ndarray
+    weights: np.ndarray
+    amp: np.ndarray
+    tau: np.ndarray
+    amp_positive: np.ndarray
+    f: np.ndarray
+    r: np.ndarray
+    mean: np.ndarray
+    shift: np.ndarray
+    delay: np.ndarray
+    tmp: np.ndarray
 
 
 def simulate_str_batch(
@@ -388,132 +506,165 @@ def simulate_str_batch(
     Each wave fires every enabled stage of every ring at once.  Firing
     times follow the event engine exactly (an enabled stage's inputs are
     frozen until it fires — see the module docstring), so the kernel is
-    bit-identical to ``SelfTimedRing.simulate`` for noiseless rings and
-    statistically equivalent with jitter.
+    bit-identical to ``SelfTimedRing.simulate_reference`` for noiseless
+    rings and statistically equivalent with jitter.
 
-    Two implementations share the same arithmetic, bit for bit: rings
-    whose token pattern provably alternates between the even and the odd
-    stages every wave (the standard evenly-spread configuration) run on
-    a dense precomputed-structure kernel (:func:`_simulate_str_parity`);
-    anything else falls back to the general masked-wave kernel.
+    Which stages fire in each wave is planned before the run
+    (:func:`_ring_plan`): a prefix of waves, then a cycle that repeats.
+    Rings with the same cycle length run in one wave loop.
 
     With ``all_stages=True`` every stage of a ring records its first
     ``edge_count`` firings (``stage_traces``), and the ring runs until
     its slowest stage has them.
 
-    Raises ``RuntimeError`` when a ring deadlocks (no fireable stage
-    left before its edge budget is met), mirroring the event path.
+    Raises ``RuntimeError`` for a ring that can never fire (an all-token
+    or all-bubble state), mirroring the event path.
     """
     specs = list(specs)
     if not specs:
         return BatchSimulationResult(traces=[], events_processed=0)
-    plans = _parity_plan(specs)
-    if plans is not None:
-        return _simulate_str_parity(specs, modulation, plans, all_stages)
-    return _simulate_str_waves(specs, modulation, all_stages)
+    traces: list = [None] * len(specs)
+    stage_traces: list = [None] * len(specs)
+    events = waves = 0
+    with span("batch_simulate", family="str", rings=len(specs)) as tele:
+        # Replicas share an initial state, and so a plan.
+        by_state: Dict[bytes, Tuple[np.ndarray, int]] = {}
+        plans = []
+        for row, spec in enumerate(specs):
+            key = spec.initial_state.tobytes()
+            if key not in by_state:
+                by_state[key] = _ring_plan(spec, row)
+            plans.append(by_state[key])
+        groups: Dict[int, List[int]] = {}
+        for row, (fires, prefix) in enumerate(plans):
+            groups.setdefault(len(fires) - prefix, []).append(row)
+        for rows in groups.values():
+            group = _simulate_str_group(
+                [specs[row] for row in rows],
+                [plans[row] for row in rows],
+                modulation,
+                all_stages,
+            )
+            for index, row in enumerate(rows):
+                traces[row] = group.traces[index]
+                if group.stage_traces is not None:
+                    stage_traces[row] = group.stage_traces[index]
+            events += group.events_processed
+            waves += group.waves
+
+        tele.set("events", events)
+        tele.set("waves", waves)
+        registry = default_registry()
+        registry.counter("repro.batch.simulations").inc()
+        registry.counter("repro.batch.rings").inc(len(specs))
+        registry.counter("repro.batch.events").inc(events)
+        registry.counter("repro.batch.waves").inc(waves)
+    return BatchSimulationResult(
+        traces=traces,
+        events_processed=events,
+        waves=waves,
+        stage_traces=stage_traces if all_stages else None,
+    )
 
 
-def _stage_traces(
-    specs: Sequence[STRBatchSpec], times: Sequence[np.ndarray]
-) -> List[List[EdgeTrace]]:
-    """Per-ring, per-stage traces from ``times[r]`` of shape (edge, stage).
+def _wave_noise(
+    specs: Sequence[STRBatchSpec],
+    plan: _WavePlan,
+    wave_count: int,
+    all_stages: bool,
+) -> Optional[np.ndarray]:
+    """Pre-drawn jitter in wave order, or ``None`` for a noiseless group.
 
-    Every firing flips a stage's output (it copies a predecessor that
-    differs from it), so a stage's first edge takes the opposite of its
-    initial value.
+    A ring draws one ``standard_normal((F, L))`` block from its seed and
+    the k-th firing of stage ``s`` takes row ``k``, column ``s``.  Draws
+    fill row-major, so the values do not depend on ``F`` — nor on which
+    rings share the batch.  All-zero-sigma rings draw nothing.
+
+    ``F`` is never below ``edge_count + 8`` (``+ L // 2`` with
+    ``all_stages``): a caller that passes its own ``Generator``
+    (``MultiphaseStrTrng``) and draws from it afterwards depends on how
+    far the kernel advanced it, and the recorded results use that size.
     """
-    return [
-        [
-            EdgeTrace(ring_times[: spec.edge_count, stage], first_value=1 - int(value))
-            for stage, value in enumerate(spec.initial_state)
-        ]
-        for spec, ring_times in zip(specs, times)
+    if all(np.all(spec.jitter_sigmas_ps == 0.0) for spec in specs):
+        return None
+    lengths = np.array([spec.stage_count for spec in specs], dtype=np.intp)
+    column_counts = np.split(plan.firings(wave_count), np.cumsum(lengths)[:-1])
+    rows = [
+        max(spec.edge_count + 8 + (spec.stage_count // 2 if all_stages else 0), int(c.max()))
+        for spec, c in zip(specs, column_counts)
     ]
-
-
-def _parity_plan(specs: Sequence[STRBatchSpec]) -> Optional[List[np.ndarray]]:
-    """Prove, per ring, that firing alternates between even and odd stages.
-
-    The *structural* evolution (which stages hold a token+bubble) never
-    depends on timing, only on the state vector, so it can be iterated
-    symbolically.  If wave 0 fires exactly one parity class, wave 1 the
-    other, and two waves rotate the state by exactly two stages, then by
-    ring symmetry the pattern repeats forever (parity classes are
-    invariant under even rotations).  Returns each ring's wave-0 firing
-    mask, or ``None`` when any ring breaks the pattern.
-    """
-    plans: List[np.ndarray] = []
-    for spec in specs:
-        stages = spec.stage_count
-        if stages % 2:
-            return None
-        parity = np.arange(stages) % 2
-        start = spec.initial_state.astype(np.int8)
-        state = start.copy()
-        masks = []
-        for _ in range(2):
-            pred = np.roll(state, 1)
-            succ = np.roll(state, -1)
-            enabled = (state != pred) & (succ == state)
-            if not enabled.any():
-                return None
-            masks.append(enabled)
-            state = np.where(enabled, pred, state)
-        even, odd = parity == 0, parity == 1
-        first_even = np.array_equal(masks[0], even) and np.array_equal(masks[1], odd)
-        first_odd = np.array_equal(masks[0], odd) and np.array_equal(masks[1], even)
-        if not (first_even or first_odd):
-            return None
-        if not np.array_equal(state, np.roll(start, 2)):
-            return None
-        plans.append(masks[0])
-    return plans
-
-
-def _noise_flat(
-    specs: Sequence[STRBatchSpec], budget: int, bases: np.ndarray
-) -> np.ndarray:
-    """Pre-drawn jitter in flat layout: ``[n, base_r + stage]``.
-
-    Draw-for-draw identical to :func:`_noise_tensor` for the same seeds
-    and firing indices (both fill each ring's block row-major), so the
-    parity and general kernels consume the very same values.
-    """
-    total = int(bases[-1]) + specs[-1].stage_count
-    noise = np.zeros((budget, total))
-    for spec, base in zip(specs, bases):
+    sizes = np.array(rows) * lengths
+    bases = np.zeros(len(specs), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=bases[1:])
+    drawn = np.zeros(int(sizes.sum()))
+    for spec, base, size, row_count in zip(specs, bases, sizes, rows):
         if np.all(spec.jitter_sigmas_ps == 0.0):
             continue
-        block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
+        block = drawn[base : base + size].reshape(row_count, spec.stage_count)
+        make_rng(spec.seed).standard_normal(out=block)
         block *= spec.jitter_sigmas_ps[np.newaxis, :]
-        noise[:, base : base + spec.stage_count] = block
-    return noise
+    # Stage s of a ring at ``base`` takes its k-th draw from base + k*L + s.
+    stage = np.concatenate([np.arange(n) for n in lengths])
+    firsts = np.repeat(bases, lengths) + stage
+    return drawn.take(plan.in_wave_order(firsts, np.repeat(lengths, lengths), wave_count))
 
 
-def _simulate_str_parity(
+def _simulate_str_group(
     specs: Sequence[STRBatchSpec],
+    ring_plans: Sequence[Tuple[np.ndarray, int]],
     modulation: Optional[DeterministicModulation],
-    plans: Sequence[np.ndarray],
-    all_stages: bool = False,
+    all_stages: bool,
 ) -> BatchSimulationResult:
-    """Dense STR kernel for rings with a proven even/odd firing pattern.
+    """One wave loop over rings whose plans share a cycle length.
 
-    All rings' stages are packed into one flat vector (no padding), and
-    because the firing sets are known a priori there is no per-wave
-    enabled-mask computation, no done bookkeeping, and the noise row for
-    firing index ``k`` is just row ``k`` of the pre-drawn matrix.  Every
-    float operation mirrors :func:`_simulate_str_waves` exactly.
+    All rings' stages are packed into one flat vector (no padding).  The
+    plan fixes every step's firing columns, so there is no per-wave
+    enabled mask or bookkeeping; each wave reads its noise from, and
+    writes its fire times to, a slice of a wave-ordered buffer.  The
+    loop runs until the last ring is done; a ring done earlier keeps
+    firing, and no trace reads those firings.
     """
-    ring_count = len(specs)
+    period = len(ring_plans[0][0]) - ring_plans[0][1]
+    prefix = max(ring_prefix for _, ring_prefix in ring_plans)
+    step_index = np.arange(prefix + period)
+    plan = _WavePlan(
+        np.hstack(
+            [
+                fires[
+                    np.where(
+                        step_index < ring_prefix,
+                        step_index,
+                        ring_prefix + (step_index - ring_prefix) % period,
+                    )
+                ]
+                for fires, ring_prefix in ring_plans
+            ]
+        ),
+        prefix,
+    )
     lengths = np.array([spec.stage_count for spec in specs], dtype=np.intp)
-    bases = np.zeros(ring_count, dtype=np.intp)
+    bases = np.zeros(len(specs), dtype=np.intp)
     np.cumsum(lengths[:-1], out=bases[1:])
     total = int(lengths.sum())
+    edge_counts = np.array([spec.edge_count for spec in specs], dtype=np.intp)
+    out_cols = bases + np.array([spec.output_stage for spec in specs], dtype=np.intp)
+
+    # A ring is done at its output stage's edge_count-th firing, or with
+    # all_stages at its slowest stage's.
+    if all_stages:
+        last = plan.wave(np.repeat(edge_counts, lengths) - 1, np.arange(total))
+    else:
+        last = plan.wave(edge_counts - 1, out_cols)
+    wave_count = int(last.max()) + 1
+    counts = plan.firings(wave_count)
+    noise = _wave_noise(specs, plan, wave_count, all_stages)
+    fired = np.empty(int(counts.sum()))
 
     def packed(attr: str) -> np.ndarray:
         return np.concatenate([np.asarray(getattr(s, attr)) for s in specs])
 
-    state = packed("initial_state").astype(np.int8)
+    pred = np.concatenate([base + (np.arange(n) - 1) % n for base, n in zip(bases, lengths)])
+    succ = np.concatenate([base + (np.arange(n) + 1) % n for base, n in zip(bases, lengths)])
     static_d = packed("static_delays_ps")
     offsets = packed("separation_offsets_ps")
     charlie = packed("charlie_ps")
@@ -521,382 +672,103 @@ def _simulate_str_parity(
     draft_amp = packed("drafting_amplitudes_ps")
     draft_tau = packed("drafting_time_constants_ps")
     drafting_active = bool(np.any(draft_amp > 0.0))
-    pred = np.concatenate(
-        [base + (np.arange(n) - 1) % n for base, n in zip(bases, lengths)]
-    )
-    succ = np.concatenate(
-        [base + (np.arange(n) + 1) % n for base, n in zip(bases, lengths)]
-    )
+    structure = [
+        _Step(
+            pos=pos,
+            pred=pred[pos],
+            succ=succ[pos],
+            static=static_d[pos],
+            offsets=offsets[pos],
+            charlie=charlie[pos],
+            weights=weights[pos],
+            amp=draft_amp[pos],
+            tau=draft_tau[pos],
+            amp_positive=draft_amp[pos] > 0.0,
+            **{name: np.empty(pos.size) for name in ("f", "r", "mean", "shift", "delay", "tmp")},
+        )
+        for pos in plan.positions
+    ]
+
     last_time = np.zeros(total)
-
-    edge_counts = np.array([spec.edge_count for spec in specs], dtype=np.intp)
-    out_global = bases + np.array([spec.output_stage for spec in specs], dtype=np.intp)
-    out_parity = np.array(
-        [0 if plan[spec.output_stage] else 1 for spec, plan in zip(specs, plans)],
-        dtype=np.intp,
-    )
-    budget = int(edge_counts.max()) + 4
-    noise = _noise_flat(specs, budget, bases)
-
-    # Per-parity structure, fixed for the whole run: firing positions,
-    # their neighbours, and their parameter slices (gathered once).
-    pos, pre, suc, par = [], [], [], []
-    for phase in (0, 1):
-        mask = np.concatenate(
-            [plan if phase == 0 else ~plan for plan in plans]
+    offset = 0
+    for wave in range(wave_count):
+        step = structure[wave if wave < prefix else prefix + (wave - prefix) % period]
+        end = offset + step.pos.size
+        fire_time = fired[offset:end]
+        f_t, r_t, mean_t, shifted, delay, tmp = (
+            step.f, step.r, step.mean, step.shift, step.delay, step.tmp
         )
-        p = np.flatnonzero(mask)
-        pos.append(p)
-        pre.append(pred.take(p))
-        suc.append(succ.take(p))
-        par.append(
-            {
-                "static": static_d.take(p),
-                "offsets": offsets.take(p),
-                "charlie": charlie.take(p),
-                "weights": weights.take(p),
-                "amp": draft_amp.take(p),
-                "tau": draft_tau.take(p),
-                "amp_positive": draft_amp.take(p) > 0.0,
-            }
+
+        last_time.take(step.pred, out=f_t)
+        last_time.take(step.succ, out=r_t)
+        np.add(f_t, r_t, out=mean_t)
+        mean_t *= 0.5
+        np.subtract(f_t, r_t, out=shifted)
+        shifted *= 0.5
+        shifted -= step.offsets
+        np.hypot(step.charlie, shifted, out=delay)
+        delay += step.static
+        if drafting_active:
+            np.add(mean_t, delay, out=tmp)
+            tmp -= last_time.take(step.pos)  # elapsed since this stage last fired
+            draft_mask = tmp > 0.0
+            draft_mask &= step.amp_positive
+            np.maximum(tmp, 0.0, out=tmp)
+            np.negative(tmp, out=tmp)
+            tmp /= step.tau
+            np.exp(tmp, out=tmp)
+            tmp *= step.amp
+            tmp *= draft_mask  # zero the reduction where inactive
+            delay -= tmp
+        floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
+        if modulation is not None:
+            # The event engine samples the modulation at schedule time,
+            # which is always max(t_f, t_r).
+            factor = modulation.factor_array(floor_t)
+            factor *= step.weights
+            factor += 1.0
+            delay *= factor
+        if noise is not None:
+            delay += noise[offset:end]
+
+        np.add(mean_t, delay, out=fire_time)
+        np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
+        np.copyto(fire_time, tmp, where=fire_time <= floor_t)
+        last_time.put(step.pos, fire_time)
+        offset = end
+
+    # Every firing flips a stage's output (it copies a predecessor that
+    # differs from it), so a stage's first edge is the opposite of its
+    # initial value.
+    if not all_stages:
+        traces = [
+            EdgeTrace(
+                fired[plan.slot(np.arange(spec.edge_count), out_col)],
+                first_value=1 - int(spec.initial_state[spec.output_stage]),
+            )
+            for spec, out_col in zip(specs, out_cols)
+        ]
+        return BatchSimulationResult(
+            traces=traces, events_processed=fired.size, waves=wave_count
         )
-    out_pos = [out_global[out_parity == phase] for phase in (0, 1)]
-    out_rings = [np.flatnonzero(out_parity == phase) for phase in (0, 1)]
-
-    edge_budget = int(edge_counts.max())
-    edges_t = np.zeros((edge_budget, ring_count))
-    first_values = np.full(ring_count, -1, dtype=np.int8)
-    total_waves = int((2 * (edge_counts - 1) + out_parity).max()) + 1
-    stage_t = None
-    if all_stages:
-        # Both firing classes need ``edge_budget`` firings each;
-        # stage_t[k, position] is that stage's k-th firing time.
-        total_waves = 2 * edge_budget
-        stage_t = np.zeros((edge_budget, total))
-
-    bufs = [
-        {name: np.empty(pos[phase].size) for name in ("f", "r", "mean", "shift", "delay", "fire", "tmp", "z")}
-        for phase in (0, 1)
+    del noise  # keeps the stage-major copy within the run's peak memory
+    # stage_t[k, column] is that column's k-th fire time.
+    stage_t = np.empty((int(counts.max()), total))
+    stage_t.put(plan.in_wave_order(np.arange(total), np.full(total, total), wave_count), fired)
+    stage_traces = [
+        [
+            EdgeTrace(stage_t[: spec.edge_count, base + stage], first_value=1 - int(value))
+            for stage, value in enumerate(spec.initial_state)
+        ]
+        for spec, base in zip(specs, bases)
     ]
-
-    total_events = 0
-    with span("batch_simulate", family="str", rings=ring_count, kernel="parity") as tele:
-        for wave in range(total_waves):
-            phase = wave & 1
-            k = wave >> 1
-            p = pos[phase]
-            prm = par[phase]
-            b = bufs[phase]
-            f_t, r_t = b["f"], b["r"]
-            mean_t, shifted, delay = b["mean"], b["shift"], b["delay"]
-            fire_time, tmp = b["fire"], b["tmp"]
-
-            last_time.take(pre[phase], out=f_t)
-            last_time.take(suc[phase], out=r_t)
-            np.add(f_t, r_t, out=mean_t)
-            mean_t *= 0.5
-            np.subtract(f_t, r_t, out=shifted)
-            shifted *= 0.5
-            shifted -= prm["offsets"]
-            np.hypot(prm["charlie"], shifted, out=delay)
-            delay += prm["static"]
-            if drafting_active:
-                np.add(mean_t, delay, out=tmp)
-                tmp -= last_time.take(p)
-                draft_mask = tmp > 0.0
-                draft_mask &= prm["amp_positive"]
-                np.maximum(tmp, 0.0, out=tmp)
-                np.negative(tmp, out=tmp)
-                tmp /= prm["tau"]
-                np.exp(tmp, out=tmp)
-                tmp *= prm["amp"]
-                tmp *= draft_mask
-                delay -= tmp
-            floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
-            if modulation is not None:
-                factor = modulation.factor_array(floor_t)
-                factor *= prm["weights"]
-                factor += 1.0
-                delay *= factor
-            noise[k].take(p, out=b["z"])
-            delay += b["z"]
-
-            np.add(mean_t, delay, out=fire_time)
-            np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
-            np.copyto(fire_time, tmp, where=fire_time <= floor_t)
-
-            state.put(p, state.take(pre[phase]))
-            last_time.put(p, fire_time)
-            total_events += p.size
-            if stage_t is not None:
-                stage_t[k, p] = fire_time
-
-            rec = out_pos[phase]
-            if rec.size:
-                edges_t[k, out_rings[phase]] = last_time.take(rec)
-                if k == 0:
-                    first_values[out_rings[phase]] = state.take(rec)
-
-        tele.set("events", total_events)
-        tele.set("waves", total_waves)
-        registry = default_registry()
-        registry.counter("repro.batch.simulations").inc()
-        registry.counter("repro.batch.rings").inc(ring_count)
-        registry.counter("repro.batch.events").inc(total_events)
-        registry.counter("repro.batch.waves").inc(total_waves)
-
-    traces = [
-        EdgeTrace(
-            edges_t[: edge_counts[row], row].copy(),
-            first_value=int(first_values[row]) if first_values[row] >= 0 else 1,
-        )
-        for row in range(ring_count)
-    ]
-    stage_traces = None
-    if stage_t is not None:
-        stage_traces = _stage_traces(
-            specs, [stage_t[:, base : base + n] for base, n in zip(bases, lengths)]
-        )
+    traces = [stages[spec.output_stage] for spec, stages in zip(specs, stage_traces)]
     return BatchSimulationResult(
         traces=traces,
-        events_processed=total_events,
-        waves=total_waves,
+        events_processed=fired.size,
+        waves=wave_count,
         stage_traces=stage_traces,
     )
-
-
-def _simulate_str_waves(
-    specs: Sequence[STRBatchSpec],
-    modulation: Optional[DeterministicModulation] = None,
-    all_stages: bool = False,
-) -> BatchSimulationResult:
-    """General masked-wave STR kernel (padded planes, any configuration)."""
-    ring_count = len(specs)
-    max_stages = max(spec.stage_count for spec in specs)
-    max_edges = max(spec.edge_count for spec in specs)
-
-    # --- padded state planes ------------------------------------------------
-    state = np.zeros((ring_count, max_stages), dtype=np.int8)
-    last_time = np.zeros((ring_count, max_stages))
-    pred_idx = np.zeros((ring_count, max_stages), dtype=np.intp)
-    succ_idx = np.zeros((ring_count, max_stages), dtype=np.intp)
-    static_d = np.zeros((ring_count, max_stages))
-    offsets = np.zeros((ring_count, max_stages))
-    charlie = np.zeros((ring_count, max_stages))
-    weights = np.zeros((ring_count, max_stages))
-    draft_amp = np.zeros((ring_count, max_stages))
-    draft_tau = np.ones((ring_count, max_stages))
-    edge_counts = np.zeros(ring_count, dtype=np.intp)
-    out_idx = np.zeros(ring_count, dtype=np.intp)
-
-    for row, spec in enumerate(specs):
-        stages = spec.stage_count
-        state[row, :stages] = spec.initial_state
-        # Padded columns point at themselves: state == state -> no token,
-        # so they can never fire; no separate active mask is needed.
-        pred_idx[row, :stages] = (np.arange(stages) - 1) % stages
-        succ_idx[row, :stages] = (np.arange(stages) + 1) % stages
-        pred_idx[row, stages:] = np.arange(stages, max_stages)
-        succ_idx[row, stages:] = np.arange(stages, max_stages)
-        static_d[row, :stages] = spec.static_delays_ps
-        offsets[row, :stages] = spec.separation_offsets_ps
-        charlie[row, :stages] = spec.charlie_ps
-        weights[row, :stages] = spec.supply_weights
-        draft_amp[row, :stages] = spec.drafting_amplitudes_ps
-        draft_tau[row, :stages] = spec.drafting_time_constants_ps
-        edge_counts[row] = spec.edge_count
-        out_idx[row] = spec.output_stage
-
-    drafting_active = bool(np.any(draft_amp > 0.0))
-    amp_positive = draft_amp > 0.0
-    # Per-stage firing budget: stages fire at most one lap apart, so the
-    # output's edge budget plus slack bounds every stage; grown on demand.
-    # Neighbouring stages' firings interleave, so no stage runs more than
-    # L/2 firings ahead of the slowest one when every stage records.
-    budget = max_edges + 8 + (max_stages // 2 if all_stages else 0)
-    noise = _noise_tensor(specs, budget, max_stages)  # (ring, firing, stage)
-
-    # Flat indices into the raveled (ring, stage) planes — `ndarray.take`
-    # on a precomputed flat index plane is the fast path; take_along_axis
-    # rebuilds its index grids on every call.
-    rows = np.arange(ring_count)
-    flat_pred = rows[:, np.newaxis] * max_stages + pred_idx
-    flat_succ = rows[:, np.newaxis] * max_stages + succ_idx
-    flat_out = rows * max_stages + out_idx
-    cols = np.arange(max_stages)
-    # noise[r, n, c] lives at flat offset r*budget*L + n*L + c.
-    noise_rc = rows[:, np.newaxis] * (budget * max_stages) + cols[np.newaxis, :]
-
-    fire_count = np.zeros((ring_count, max_stages), dtype=np.intp)
-    edges = np.zeros((ring_count, max_edges))
-    stage_edges = None
-    if all_stages:
-        # Same layout as the noise tensor: [ring, n, stage] is the stage's
-        # n-th firing time.  A ring is done once its slowest real stage
-        # has fired edge_count times.
-        stage_edges = np.zeros_like(noise)
-        real = cols[np.newaxis, :] < np.array([s.stage_count for s in specs])[:, np.newaxis]
-    first_values = np.full(ring_count, -1, dtype=np.int8)
-    filled = np.zeros(ring_count, dtype=np.intp)
-    done = filled >= edge_counts
-    active = ~done[:, np.newaxis]
-
-    plane = (ring_count, max_stages)
-    f_t = np.empty(plane)
-    r_t = np.empty(plane)
-    mean_t = np.empty(plane)
-    shifted = np.empty(plane)
-    delay = np.empty(plane)
-    floor_t = np.empty(plane)
-    fire_time = np.empty(plane)
-    tmp = np.empty(plane)
-    z = np.empty(plane)
-    nidx = np.empty(plane, dtype=np.intp)
-    count_bound = 0  # upper bound on fire_count.max(); tightened lazily
-
-    total_events = 0
-    waves = 0
-    with span("batch_simulate", family="str", rings=ring_count) as tele:
-        # The loop body works on whole (ring, stage) planes: the enabled
-        # mask routes updates through masked np.copyto instead of
-        # fancy-indexed scatter, keeping every op a contiguous vector pass
-        # into preallocated buffers.
-        while not done.all():
-            s_pred = state.take(flat_pred)
-            enabled = state != s_pred
-            enabled &= state.take(flat_succ) == state
-            enabled &= active
-            fired = int(np.count_nonzero(enabled))
-            if fired == 0:
-                stuck = np.nonzero(~done)[0]
-                labels = ", ".join(
-                    f"{specs[row].name}[{row}] after {int(filled[row])} edges "
-                    f"(wanted {int(edge_counts[row])}; state "
-                    f"{''.join(str(int(v)) for v in state[row, : specs[row].stage_count])})"
-                    for row in stuck[:4]
-                )
-                raise RuntimeError(f"STR batch deadlocked: {labels}")
-
-            last_time.take(flat_pred, out=f_t)
-            last_time.take(flat_succ, out=r_t)
-            np.add(f_t, r_t, out=mean_t)
-            mean_t *= 0.5
-            np.subtract(f_t, r_t, out=shifted)
-            shifted *= 0.5
-            shifted -= offsets
-            np.hypot(charlie, shifted, out=delay)
-            delay += static_d
-            if drafting_active:
-                np.add(mean_t, delay, out=tmp)
-                tmp -= last_time  # elapsed since this stage last fired
-                draft_mask = tmp > 0.0
-                draft_mask &= amp_positive
-                np.maximum(tmp, 0.0, out=tmp)
-                np.negative(tmp, out=tmp)
-                tmp /= draft_tau
-                np.exp(tmp, out=tmp)
-                tmp *= draft_amp
-                tmp *= draft_mask  # zero the reduction where inactive
-                delay -= tmp
-            np.maximum(f_t, r_t, out=floor_t)
-            if modulation is not None:
-                # The event engine samples the modulation at schedule time,
-                # which is always max(t_f, t_r) — available vectorized.
-                factor = modulation.factor_array(floor_t)
-                factor *= weights
-                factor += 1.0
-                delay *= factor
-            if count_bound >= budget:
-                count_bound = int(fire_count.max())
-                if count_bound >= budget:
-                    noise = _grow_noise(noise, specs, max_stages)
-                    if stage_edges is not None:
-                        grown = np.zeros_like(noise)
-                        grown[:, :budget] = stage_edges
-                        stage_edges = grown
-                    budget = noise.shape[1]
-                    noise_rc = rows[:, np.newaxis] * (
-                        budget * max_stages
-                    ) + cols[np.newaxis, :]
-            np.multiply(fire_count, max_stages, out=nidx)
-            nidx += noise_rc
-            noise.take(nidx, out=z)
-            delay += z
-
-            np.add(mean_t, delay, out=fire_time)
-            np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
-            np.copyto(fire_time, tmp, where=fire_time <= floor_t)
-
-            if stage_edges is not None:
-                # Every position writes to the slot of its next firing; a
-                # stage that did not fire is overwritten when it does, and
-                # slots past edge_count are never read.
-                stage_edges.put(nidx, fire_time)
-            np.copyto(state, s_pred, where=enabled)
-            np.copyto(last_time, fire_time, where=enabled)
-            fire_count += enabled
-            count_bound += 1
-            total_events += fired
-            waves += 1
-
-            if stage_edges is not None:
-                filled = fire_count.min(axis=1, initial=max_edges, where=real)
-                done = filled >= edge_counts
-                active = ~done[:, np.newaxis]
-                continue
-            recording = enabled.take(flat_out)
-            if recording.any():
-                rec_rows = np.flatnonzero(recording)
-                edges[rec_rows, filled[rec_rows]] = last_time[
-                    rec_rows, out_idx[rec_rows]
-                ]
-                fresh = first_values[rec_rows] < 0
-                if fresh.any():
-                    first_values[rec_rows[fresh]] = state[
-                        rec_rows[fresh], out_idx[rec_rows[fresh]]
-                    ]
-                filled[rec_rows] += 1
-                done = filled >= edge_counts
-                active = ~done[:, np.newaxis]
-
-        tele.set("events", total_events)
-        tele.set("waves", waves)
-        registry = default_registry()
-        registry.counter("repro.batch.simulations").inc()
-        registry.counter("repro.batch.rings").inc(ring_count)
-        registry.counter("repro.batch.events").inc(total_events)
-        registry.counter("repro.batch.waves").inc(waves)
-
-    if stage_edges is not None:
-        stage_traces = _stage_traces(specs, stage_edges)
-        return BatchSimulationResult(
-            traces=[stage_traces[row][out_idx[row]] for row in range(ring_count)],
-            events_processed=total_events,
-            waves=waves,
-            stage_traces=stage_traces,
-        )
-    traces = [
-        EdgeTrace(
-            edges[row, : edge_counts[row]],
-            first_value=int(first_values[row]) if first_values[row] >= 0 else 1,
-        )
-        for row in range(ring_count)
-    ]
-    return BatchSimulationResult(
-        traces=traces, events_processed=total_events, waves=waves
-    )
-
-
-def _grow_noise(
-    noise: np.ndarray, specs: Sequence[STRBatchSpec], max_stages: int
-) -> np.ndarray:
-    """Double the firing budget of the pre-drawn noise tensor.
-
-    ``standard_normal`` fills row-major, so the first ``F`` rows of a
-    doubled draw are identical to the original ``F``-row draw — the
-    values a ring consumes never depend on the budget, only on its seed.
-    """
-    return _noise_tensor(specs, noise.shape[1] * 2, max_stages)
 
 
 __all__ = [

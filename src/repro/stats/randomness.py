@@ -18,8 +18,6 @@ import math
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
-from scipy import special as scipy_special
-from scipy import stats as scipy_stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +87,7 @@ def monobit_test(bits: Sequence[int], alpha: float = 0.01) -> TestResult:
 
 def block_frequency_test(bits: Sequence[int], block_size: int = 128, alpha: float = 0.01) -> TestResult:
     """NIST block-frequency test."""
+    from scipy import special as scipy_special
     array = _as_bits(bits, minimum=block_size * 4)
     block_count = array.size // block_size
     blocks = array[: block_count * block_size].reshape(block_count, block_size)
@@ -122,6 +121,7 @@ _LONGEST_RUN_TABLE = {
 
 def longest_run_test(bits: Sequence[int], alpha: float = 0.01) -> TestResult:
     """NIST longest-run-of-ones-in-a-block test."""
+    from scipy import special as scipy_special
     array = _as_bits(bits, minimum=128)
     if array.size < 6272:
         block_size = 8
@@ -167,6 +167,7 @@ def autocorrelation_test(bits: Sequence[int], lag: int = 1, alpha: float = 0.01)
 
 def cumulative_sums_test(bits: Sequence[int], alpha: float = 0.01) -> TestResult:
     """NIST cumulative-sums (forward) test."""
+    from scipy import stats as scipy_stats
     array = _as_bits(bits, minimum=100)
     signed = 2 * array - 1
     partial = np.cumsum(signed)
@@ -217,6 +218,7 @@ def serial_test(bits: Sequence[int], pattern_length: int = 3, alpha: float = 0.0
     Returns the first of the two NIST p-values (``del psi^2``); with a
     balanced-but-patterned source this catches what monobit cannot.
     """
+    from scipy import special as scipy_special
     array = _as_bits(bits, minimum=100)
     if pattern_length < 2 or pattern_length > int(math.log2(array.size)) - 2:
         raise ValueError(
@@ -237,6 +239,7 @@ def approximate_entropy_test(
     bits: Sequence[int], pattern_length: int = 2, alpha: float = 0.01
 ) -> TestResult:
     """NIST approximate-entropy test (ApEn of overlapping patterns)."""
+    from scipy import special as scipy_special
     array = _as_bits(bits, minimum=100)
     if pattern_length < 1 or pattern_length > int(math.log2(array.size)) - 5:
         raise ValueError(

@@ -22,7 +22,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def symbolize_bits(bits: Sequence[int], width: int) -> np.ndarray:
@@ -102,6 +101,7 @@ def chi_square_uniformity(
     symbols: Sequence[int], alphabet_size: int, alpha: float = 0.01
 ) -> UniformityVerdict:
     """Pearson chi-square test of symbol uniformity."""
+    from scipy import stats as scipy_stats
     array = np.asarray(symbols, dtype=np.int64)
     if array.size < 5 * alphabet_size:
         raise ValueError(

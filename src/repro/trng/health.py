@@ -23,7 +23,6 @@ import math
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,6 +47,7 @@ def adaptive_proportion_cutoff(
     min_entropy_per_bit: float, window: int = 512, alpha_exponent: int = 20
 ) -> int:
     """SP 800-90B adaptive-proportion cutoff (binomial quantile)."""
+    from scipy import stats as scipy_stats
     if not (0.0 < min_entropy_per_bit <= 1.0):
         raise ValueError(f"min-entropy must be in (0, 1], got {min_entropy_per_bit}")
     if window < 16:

@@ -28,7 +28,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 def _sample_stats(samples: Sequence[float]) -> Tuple[int, float, float]:
@@ -52,6 +51,7 @@ def mean_confidence_interval(
     the mean itself — the caller is then effectively doing a point
     comparison, which the criteria below still handle gracefully.
     """
+    from scipy import stats as _scipy_stats
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     n, mean, se = _sample_stats(samples)
@@ -96,6 +96,7 @@ def tost(
     degrades to ``|mean - target| < margin`` (reported with p-values of
     0/1 accordingly) so tiny quick-tier budgets still yield a verdict.
     """
+    from scipy import stats as _scipy_stats
     if margin <= 0.0:
         raise ValueError(f"equivalence margin must be positive, got {margin}")
     if not 0.0 < alpha < 0.5:
@@ -172,6 +173,7 @@ class CiBoundResult:
 def _one_sided_limit(
     samples: Sequence[float], confidence: float, side: str
 ) -> Tuple[int, float, float]:
+    from scipy import stats as _scipy_stats
     n, mean, se = _sample_stats(samples)
     if n == 1 or se == 0.0:
         return n, mean, mean
@@ -204,6 +206,7 @@ def wilson_interval(
     approximation degenerates — exactly the regime a flakiness sweep
     lives in (most claims pass every seed).
     """
+    from scipy import stats as _scipy_stats
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:

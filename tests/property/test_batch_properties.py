@@ -5,7 +5,8 @@ seeds and jitter magnitudes:
 
 * IRO batches are *bit-identical* to the event engine, always — also
   under a time-varying (sinusoidal) supply modulation;
-* STR batches are bit-identical whenever the rings are noiseless, and
+* STR batches are bit-identical whenever the rings are noiseless — from
+  any initial state that can fire, so over every firing plan — and
   statistically equivalent otherwise (same process, different draw
   order — mean period within 1%, period jitter within a factor
   matching the estimator's own sampling spread at the tested sizes).
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
+from repro.rings.tokens import count_tokens
 from repro.simulation.batch import (
     IROBatchSpec,
     STRBatchSpec,
@@ -52,6 +54,23 @@ def str_rings(draw):
     charlie = draw(st.floats(20.0, 150.0))
     diagram = CharlieDiagram(CharlieParameters.symmetric(static, charlie))
     return SelfTimedRing([diagram] * stages, tokens, jitter_sigmas_ps=0.0)
+
+
+@st.composite
+def str_states(draw):
+    """A noiseless STR of any length >= 3 from any state that can fire."""
+    stages = draw(st.integers(3, 16))
+    state = draw(
+        st.lists(st.integers(0, 1), min_size=stages, max_size=stages).filter(
+            lambda bits: 0 < count_tokens(bits) < len(bits)
+        )
+    )
+    static = draw(st.floats(150.0, 400.0))
+    charlie = draw(st.floats(20.0, 150.0))
+    diagram = CharlieDiagram(CharlieParameters.symmetric(static, charlie))
+    return SelfTimedRing(
+        [diagram] * stages, count_tokens(state), jitter_sigmas_ps=0.0, initial_state=state
+    )
 
 
 def full_event_times(ring, edge_count, seed, modulation=None):
@@ -128,6 +147,27 @@ class TestSTREquivalence:
             batch.traces[0].times_ps, full_event_times(ring, 25, seed)
         )
 
+    @settings(max_examples=25, deadline=None)
+    @given(str_states(), st.integers(0, 2**31 - 1), st.integers(0, 15))
+    def test_any_initial_state_bit_identical_to_event(self, ring, seed, output):
+        output %= ring.stage_count
+        spec = STRBatchSpec.from_ring(ring, edge_count=25, seed=seed, output_stage=output)
+        oracle = ring.simulate_reference(12, seed=seed, warmup_periods=0, output_stage=output)
+        batch = simulate_str_batch([spec])
+        np.testing.assert_array_equal(
+            batch.traces[0].times_ps, oracle.warmup_trace.times_ps
+        )
+        assert batch.traces[0].first_value == oracle.warmup_trace.first_value
+
+    @settings(max_examples=15, deadline=None)
+    @given(str_states(), st.integers(0, 2**31 - 1))
+    def test_any_initial_state_all_stages_bit_identical_to_event(self, ring, seed):
+        spec = STRBatchSpec.from_ring(ring, edge_count=25, seed=seed)
+        oracle = ring.simulate_phases_reference(12, seed=seed, warmup_periods=0)
+        batch = simulate_str_batch([spec], all_stages=True)
+        for kernel_trace, oracle_trace in zip(batch.stage_traces[0], oracle.stage_traces):
+            np.testing.assert_array_equal(kernel_trace.times_ps, oracle_trace.times_ps)
+
     @settings(max_examples=10, deadline=None)
     @given(str_rings(), st.integers(0, 2**16), st.sampled_from([0.5, 2.0]))
     def test_noisy_batch_statistically_equivalent(self, ring, seed, sigma):
@@ -192,8 +232,8 @@ class TestShapeAndDtypeEdgeCases:
 
     @pytest.mark.parametrize("stages", [5, 7, 9])
     def test_odd_str_stage_counts_use_general_kernel(self, stages):
-        # Odd rings can't alternate parity classes; they must still match
-        # the event engine exactly through the general masked-wave kernel.
+        # Odd rings can't alternate parity classes; their plans have
+        # longer cycles and must still match the event engine exactly.
         diagram = CharlieDiagram(CharlieParameters.symmetric(250.0, 100.0))
         ring = SelfTimedRing([diagram] * stages, 4, jitter_sigmas_ps=0.0)
         spec = STRBatchSpec.from_ring(ring, edge_count=21, seed=3)

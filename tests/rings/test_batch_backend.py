@@ -108,9 +108,9 @@ class TestSimulatePhases:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: make_str(8),  # parity fast path
-            lambda: make_str(7, tokens=2),  # general kernel, gcd(L, NT) = 1
-            lambda: make_placed_str(9, 4),  # general kernel, per-stage timing
+            lambda: make_str(8),  # balanced: a 4-wave firing cycle
+            lambda: make_str(7, tokens=2),  # odd ring, gcd(L, NT) = 1
+            lambda: make_placed_str(9, 4),  # odd ring, per-stage timing
         ],
     )
     def test_noiseless_all_stage_traces_bit_identical(self, factory):

@@ -16,8 +16,7 @@ from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.batch import (
     IROBatchSpec,
     STRBatchSpec,
-    _parity_plan,
-    _simulate_str_waves,
+    _ring_plan,
     simulate_iro_batch,
     simulate_str_batch,
 )
@@ -225,60 +224,104 @@ class TestSTRKernel:
             simulate_str_batch([spec])
 
 
-class TestParityFastPath:
-    def test_balanced_rings_qualify(self):
-        specs = [
-            STRBatchSpec.from_ring(make_str(stages), edge_count=11)
-            for stages in (4, 8, 16, 24, 32, 96)
-        ]
-        plans = _parity_plan(specs)
-        assert plans is not None
-        assert len(plans) == len(specs)
-        for spec, mask in zip(specs, plans):
-            parity = np.arange(spec.stage_count) % 2
-            assert np.array_equal(mask, parity == 0) or np.array_equal(
-                mask, parity == 1
-            )
+def clumped_str(stages=8, tokens=4, sigma=2.0):
+    """An STR whose tokens start side by side: its plan has a prefix."""
+    from repro.rings.tokens import state_from_token_positions
 
-    def test_odd_stage_count_disqualifies(self):
-        spec = STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=11)
-        assert _parity_plan([spec]) is None
+    state = state_from_token_positions(stages, list(range(tokens)))
+    return make_str(stages, tokens=tokens, sigma=sigma, initial_state=state)
 
-    def test_clumped_tokens_disqualify(self):
-        from repro.rings.tokens import state_from_token_positions
 
-        ring = make_str(
-            8, tokens=4, initial_state=state_from_token_positions(8, [0, 1, 2, 3])
-        )
-        spec = STRBatchSpec.from_ring(ring, edge_count=11)
-        assert _parity_plan([spec]) is None
+def raw_str_spec(state, edge_count=11):
+    return STRBatchSpec(
+        static_delays_ps=np.full(len(state), 250.0),
+        separation_offsets_ps=0.0,
+        charlie_ps=100.0,
+        jitter_sigmas_ps=0.0,
+        supply_weights=1.0,
+        drafting_amplitudes_ps=0.0,
+        drafting_time_constants_ps=1.0,
+        initial_state=np.array(state, dtype=np.int8),
+        edge_count=edge_count,
+        name="probe",
+    )
 
-    def test_one_disqualified_ring_disqualifies_the_batch(self):
-        good = STRBatchSpec.from_ring(make_str(8), edge_count=11)
-        bad = STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=11)
-        assert _parity_plan([good]) is not None
-        assert _parity_plan([good, bad]) is None
 
-    @pytest.mark.parametrize("sigma", [0.0, 2.0])
-    def test_parity_and_general_kernels_bit_identical(self, sigma):
-        specs = [
-            STRBatchSpec.from_ring(make_str(stages, sigma=sigma), edge_count=31, seed=7)
-            for stages in (8, 16, 24)
-        ]
-        assert _parity_plan(specs) is not None
-        fast = simulate_str_batch(specs)
-        slow = _simulate_str_waves(specs, None)
-        for fast_trace, slow_trace in zip(fast.traces, slow.traces):
-            np.testing.assert_array_equal(fast_trace.times_ps, slow_trace.times_ps)
-            assert fast_trace.first_value == slow_trace.first_value
+class TestFiringPlan:
+    def test_balanced_even_rings_have_period_four(self):
+        for stages in (4, 8, 16, 24, 32, 96):
+            fires, prefix = _ring_plan(STRBatchSpec.from_ring(make_str(stages), edge_count=11), 0)
+            assert prefix == 0
+            assert fires.shape == (4, stages)
+            # Waves alternate between the even and the odd stages.
+            parity = np.arange(stages) % 2
+            first = fires[0, 0]
+            for wave, mask in enumerate(fires):
+                np.testing.assert_array_equal(mask, parity == (wave + (not first)) % 2)
 
-    def test_general_kernel_matches_event_engine_for_odd_ring(self):
+    def test_odd_ring_fires_every_stage_equally_per_cycle(self):
+        fires, prefix = _ring_plan(STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=11), 0)
+        per_stage = fires[prefix:].sum(axis=0)
+        assert per_stage.min() == per_stage.max() >= 1
+
+    def test_odd_ring_matches_event_engine(self):
         ring = make_str(7, tokens=4, sigma=0.0)
         spec = STRBatchSpec.from_ring(ring, edge_count=31, seed=1)
-        assert _parity_plan([spec]) is None
         batch = simulate_str_batch([spec])
-        expected = event_trace(ring, 31, seed=1)
-        np.testing.assert_array_equal(batch.traces[0].times_ps, expected)
+        np.testing.assert_array_equal(batch.traces[0].times_ps, event_trace(ring, 31, seed=1))
+
+    def test_clumped_tokens_have_a_prefix(self):
+        ring = clumped_str(sigma=0.0)
+        fires, prefix = _ring_plan(STRBatchSpec.from_ring(ring, edge_count=11), 0)
+        assert prefix > 0
+        spec = STRBatchSpec.from_ring(ring, edge_count=31, seed=1, output_stage=5)
+        batch = simulate_str_batch([spec])
+        expected = ring.simulate_reference(15, seed=1, warmup_periods=0, output_stage=5)
+        np.testing.assert_array_equal(batch.traces[0].times_ps, expected.warmup_trace.times_ps)
+
+    @pytest.mark.parametrize(
+        "state", [[0, 1, 0, 1], [1, 1, 1, 1, 1]], ids=["all-token", "all-bubble"]
+    )
+    def test_deadlocked_states_raise(self, state):
+        # The message names the ring (spec name and batch row) and its state.
+        pattern = r"deadlocked: probe\[1\].*state " + "".join(map(str, state))
+        with pytest.raises(RuntimeError, match=pattern):
+            simulate_str_batch([raw_str_spec([0, 1, 1, 0]), raw_str_spec(state)])
+
+    def test_one_loop_per_period(self):
+        four = STRBatchSpec.from_ring(make_str(8), edge_count=21)
+        other = STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=21)
+        solo = [simulate_str_batch([spec]).waves for spec in (four, other)]
+        assert simulate_str_batch([four, four]).waves == solo[0]
+        assert simulate_str_batch([four, other]).waves == sum(solo)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_mixed_period_batch_matches_solo_runs(self, sigma):
+        rings = [
+            make_str(8, sigma=sigma),
+            make_str(7, tokens=4, sigma=sigma),
+            clumped_str(sigma=sigma),
+            make_str(12, tokens=4, sigma=sigma),
+            make_str(16, sigma=sigma),
+        ]
+        specs = [
+            STRBatchSpec.from_ring(ring, edge_count=21 + 6 * index, seed=index, output_stage=index)
+            for index, ring in enumerate(rings)
+        ]
+        together = simulate_str_batch(specs)
+        for spec, trace in zip(specs, together.traces):
+            alone = simulate_str_batch([spec]).traces[0]
+            np.testing.assert_array_equal(trace.times_ps, alone.times_ps)
+            assert trace.first_value == alone.first_value
+
+    def test_all_stages_on_ring_with_prefix(self):
+        ring = clumped_str(sigma=0.0)
+        spec = STRBatchSpec.from_ring(ring, edge_count=25, seed=2)
+        batch = simulate_str_batch([spec], all_stages=True)
+        oracle = ring.simulate_phases_reference(12, seed=2, warmup_periods=0)
+        for kernel_trace, oracle_trace in zip(batch.stage_traces[0], oracle.stage_traces):
+            np.testing.assert_array_equal(kernel_trace.times_ps, oracle_trace.times_ps)
+            assert kernel_trace.first_value == oracle_trace.first_value
 
 
 class TestSpecValidation:

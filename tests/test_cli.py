@@ -1,9 +1,13 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -15,6 +19,25 @@ class TestParser:
     def test_run_requires_ids(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that use it, so commands
+        # that need none of them (list, serve) start on numpy alone.
+        code = (
+            "import repro, repro.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommands:
